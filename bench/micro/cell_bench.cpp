@@ -1,15 +1,13 @@
-// Batched vs unbatched cell execution: the same four seeds of a side-7
-// cell either share one RunBatch (topology-derived protocol state hoisted
-// once, seeds back-to-back) or go through run_single per seed, which
-// constructs a throwaway batch each time — exactly the sweep engine's
-// `unbatched` escape hatch. The events/s counter is the sweep's figure of
-// merit; the cell/* pair quantifies what batching alone buys.
+// Whole-cell execution: the same four seeds of a side-7 cell through the
+// one run path, RunBatch + Fork. The events/s counter is the sweep's
+// figure of merit.
 //
-// The cell_prefix_fork_* pair isolates the FORK itself: the RunBatch (and
-// its PhasePrefix) is built once outside the timed loop, so each
-// iteration measures only Fork construction + reset-driven seed replays
-// vs cold-constructing a simulator per seed through run_one. The delta
-// against cell_batched_* is the per-iteration prefix capture cost.
+// cell_batched_* time what a sweep slice does for a cell: capture the
+// phase prefix (RunBatch), then replay the seeds through run_range's one
+// Fork. cell_prefix_fork_* build the RunBatch once outside the timed
+// loop, so each iteration measures only Fork construction + reset-driven
+// seed replays; the delta against cell_batched_* is the per-iteration
+// prefix capture cost.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -36,22 +34,14 @@ core::ExperimentConfig make_config(core::ProtocolKind protocol) {
   return config;
 }
 
-void run_cell(benchmark::State& state, core::ProtocolKind protocol,
-              bool batched) {
+void run_cell(benchmark::State& state, core::ProtocolKind protocol) {
   const core::ExperimentConfig config = make_config(protocol);
   const wsn::Topology topology = config.topology.build();
   std::vector<core::RunResult> results(kSeedsPerIteration);
   std::uint64_t events = 0;
   for (auto _ : state) {
-    if (batched) {
-      const core::RunBatch batch(config, topology);
-      batch.run_range(kBaseSeed, 0, kSeedsPerIteration, results.data());
-    } else {
-      for (int run = 0; run < kSeedsPerIteration; ++run) {
-        results[static_cast<std::size_t>(run)] = core::run_single(
-            config, topology, derive_seed(kBaseSeed, static_cast<std::uint64_t>(run)));
-      }
-    }
+    const core::RunBatch batch(config, topology);
+    batch.run_range(kBaseSeed, 0, kSeedsPerIteration, results.data());
     for (const core::RunResult& result : results) {
       events += result.events_executed;
     }
@@ -62,25 +52,17 @@ void run_cell(benchmark::State& state, core::ProtocolKind protocol,
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 
-void run_prefix_fork(benchmark::State& state, core::ProtocolKind protocol,
-                     bool forked) {
+void run_prefix_fork(benchmark::State& state, core::ProtocolKind protocol) {
   const core::ExperimentConfig config = make_config(protocol);
   const wsn::Topology topology = config.topology.build();
   const core::RunBatch batch(config, topology);  // prefix captured once
   std::vector<core::RunResult> results(kSeedsPerIteration);
   std::uint64_t events = 0;
   for (auto _ : state) {
-    if (forked) {
-      core::RunBatch::Fork fork(batch);
-      for (int run = 0; run < kSeedsPerIteration; ++run) {
-        results[static_cast<std::size_t>(run)] = fork.run(
-            derive_seed(kBaseSeed, static_cast<std::uint64_t>(run)));
-      }
-    } else {
-      for (int run = 0; run < kSeedsPerIteration; ++run) {
-        results[static_cast<std::size_t>(run)] = batch.run_one(
-            derive_seed(kBaseSeed, static_cast<std::uint64_t>(run)));
-      }
+    core::RunBatch::Fork fork(batch);
+    for (int run = 0; run < kSeedsPerIteration; ++run) {
+      results[static_cast<std::size_t>(run)] = fork.run(
+          derive_seed(kBaseSeed, static_cast<std::uint64_t>(run)));
     }
     for (const core::RunResult& result : results) {
       events += result.events_executed;
@@ -93,44 +75,24 @@ void run_prefix_fork(benchmark::State& state, core::ProtocolKind protocol,
 }
 
 void cell_batched_das(benchmark::State& state) {
-  run_cell(state, core::ProtocolKind::kProtectionlessDas, true);
-}
-
-void cell_unbatched_das(benchmark::State& state) {
-  run_cell(state, core::ProtocolKind::kProtectionlessDas, false);
+  run_cell(state, core::ProtocolKind::kProtectionlessDas);
 }
 
 void cell_batched_slp(benchmark::State& state) {
-  run_cell(state, core::ProtocolKind::kSlpDas, true);
-}
-
-void cell_unbatched_slp(benchmark::State& state) {
-  run_cell(state, core::ProtocolKind::kSlpDas, false);
+  run_cell(state, core::ProtocolKind::kSlpDas);
 }
 
 void cell_prefix_fork_das(benchmark::State& state) {
-  run_prefix_fork(state, core::ProtocolKind::kProtectionlessDas, true);
-}
-
-void cell_prefix_cold_das(benchmark::State& state) {
-  run_prefix_fork(state, core::ProtocolKind::kProtectionlessDas, false);
+  run_prefix_fork(state, core::ProtocolKind::kProtectionlessDas);
 }
 
 void cell_prefix_fork_slp(benchmark::State& state) {
-  run_prefix_fork(state, core::ProtocolKind::kSlpDas, true);
-}
-
-void cell_prefix_cold_slp(benchmark::State& state) {
-  run_prefix_fork(state, core::ProtocolKind::kSlpDas, false);
+  run_prefix_fork(state, core::ProtocolKind::kSlpDas);
 }
 
 BENCHMARK(cell_batched_das)->Unit(benchmark::kMillisecond);
-BENCHMARK(cell_unbatched_das)->Unit(benchmark::kMillisecond);
 BENCHMARK(cell_batched_slp)->Unit(benchmark::kMillisecond);
-BENCHMARK(cell_unbatched_slp)->Unit(benchmark::kMillisecond);
 BENCHMARK(cell_prefix_fork_das)->Unit(benchmark::kMillisecond);
-BENCHMARK(cell_prefix_cold_das)->Unit(benchmark::kMillisecond);
 BENCHMARK(cell_prefix_fork_slp)->Unit(benchmark::kMillisecond);
-BENCHMARK(cell_prefix_cold_slp)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -157,23 +157,10 @@ void apply_protocol_spec(std::string_view text, ExperimentConfig& config);
 void apply_radio_spec(std::string_view text, ExperimentConfig& config);
 
 /// Builds a fresh instance of the radio model `config` selects (radio
-/// models are stateful, so each run constructs its own). Throws
+/// models are stateful, so each RunBatch::Fork constructs its own). Throws
 /// std::invalid_argument on an unknown radio kind.
 [[nodiscard]] std::unique_ptr<sim::RadioModel> make_radio(
     const ExperimentConfig& config);
-
-/// Executes one seeded run, materialising config.topology first.
-/// Deterministic in (config, seed).
-[[nodiscard]] RunResult run_single(const ExperimentConfig& config,
-                                   std::uint64_t seed);
-
-/// Same, against a caller-materialised topology (callers that run many
-/// seeds — run_experiment, the sweep engine — build once per cell and
-/// reuse it). `topology` must be config.topology.build()'s result; a
-/// mismatched graph silently simulates a different experiment.
-[[nodiscard]] RunResult run_single(const ExperimentConfig& config,
-                                   const wsn::Topology& topology,
-                                   std::uint64_t seed);
 
 /// Folds per-run results into an aggregate IN THE GIVEN ORDER, so callers
 /// that collect runs by index get bit-identical aggregates regardless of
@@ -184,7 +171,9 @@ void apply_radio_spec(std::string_view text, ExperimentConfig& config);
                                               bool check_schedules);
 
 /// Runs `config.runs` seeded runs (seed = derive_seed(base_seed, i)) across
-/// `config.threads` workers and aggregates.
+/// `config.threads` workers and aggregates: a one-cell sweep whose cell
+/// seed is `config.base_seed` (defined in sweep.cpp, beside the sweep's
+/// execute stage it runs through).
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 }  // namespace slpdas::core

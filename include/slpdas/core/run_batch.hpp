@@ -17,14 +17,19 @@
 // stay cache-dense no matter how its seed range was sliced across
 // workers.
 //
-// Determinism contract: Fork::run(seed) and run_one(seed) are pure
-// functions of (config, topology, seed) and bit-identical to each other
-// and to the unbatched run_single(config, topology, seed) — everything
-// in the prefix is itself a pure function of (config, topology), and
-// reset_run rewinds every per-run mutable field to its just-constructed
-// value. The sweep engine's batched-vs-unbatched fingerprint tests and
-// batch_test's forked-vs-cold suite pin that equality for every
-// registered scenario.
+// Fork::run is the only code that executes a seed: run_range drives it
+// for one slice of a cell, the sweep's execute stage drives run_range for
+// every cell (run_experiment included, as a one-cell sweep).
+//
+// Determinism contract: Fork::run(seed) is a pure function of (config,
+// topology, seed), whatever the Fork ran before — everything in the
+// prefix is itself a pure function of (config, topology), and reset_run
+// rewinds every per-run mutable field to its just-constructed value. A
+// fresh Fork's first run is therefore the cold reference: batch_test
+// pins a reused Fork (seeds reversed, interleaved and replayed) against a
+// fresh Fork per seed for every registered scenario's cells, and the
+// golden fingerprints pin both to the values the original cold-simulator
+// path produced.
 #pragma once
 
 #include <cstdint>
@@ -41,17 +46,8 @@ class RunBatch {
   /// Captures the phase prefix of `config` against `topology`. Both must
   /// outlive the batch and `topology` must be config.topology.build()'s
   /// result — a mismatched graph silently simulates a different
-  /// experiment. Throws std::invalid_argument on an invalid source/sink
-  /// (the per-run validation, done once).
+  /// experiment. Throws std::invalid_argument on an invalid source/sink.
   RunBatch(const ExperimentConfig& config, const wsn::Topology& topology);
-
-  [[nodiscard]] const ExperimentConfig& config() const noexcept {
-    return config_;
-  }
-  [[nodiscard]] const wsn::Topology& topology() const noexcept {
-    return topology_;
-  }
-  [[nodiscard]] const PhasePrefix& prefix() const noexcept { return prefix_; }
 
   /// One forked execution context: a Simulator + attacker runtime built
   /// once from the batch's phase prefix, then reset (not reconstructed)
@@ -62,8 +58,10 @@ class RunBatch {
    public:
     explicit Fork(const RunBatch& batch);
 
-    /// Executes one seeded run from the warm prefix snapshot.
-    /// Bit-identical to batch.run_one(seed), in any seed order.
+    /// Executes one seeded run from the warm prefix snapshot: drives the
+    /// simulator through setup, activation and the data phase, and
+    /// extracts the RunResult. Bit-identical to a fresh Fork's run(seed),
+    /// in any seed order.
     [[nodiscard]] RunResult run(std::uint64_t seed);
 
    private:
@@ -72,15 +70,9 @@ class RunBatch {
     attacker::AttackerRuntime eavesdropper_;
   };
 
-  /// Executes one seeded run against cold-constructed state (the
-  /// reference path: construction IS the reset). Thread-safe: the batch
-  /// is immutable after construction.
-  [[nodiscard]] RunResult run_one(std::uint64_t seed) const;
-
   /// Executes run indices [first, last) back-to-back through one local
-  /// Fork, seeding run i with derive_seed(base_seed, i) — exactly the
-  /// per-run derivation the unbatched engine uses — and writing run i's
-  /// result to out[i - first]. `out` must have room for last - first
+  /// Fork, seeding run i with derive_seed(base_seed, i) and writing run
+  /// i's result to out[i - first]. `out` must have room for last - first
   /// results. Thread-safe: the Fork is local to the call, so concurrent
   /// run_range calls on one batch (the sweep slicing a cell across
   /// workers) never share mutable state.
@@ -88,16 +80,6 @@ class RunBatch {
                  RunResult* out) const;
 
  private:
-  /// Shared tail of run_one / Fork::run: drives `simulator` (already
-  /// seeded and populated) through setup, activation and the data phase,
-  /// and extracts the RunResult.
-  [[nodiscard]] RunResult execute(sim::Simulator& simulator,
-                                  attacker::AttackerRuntime& eavesdropper)
-      const;
-
-  /// Populates `simulator` with one process per node from the prefix.
-  void add_processes(sim::Simulator& simulator) const;
-
   const ExperimentConfig& config_;
   const wsn::Topology& topology_;
   PhasePrefix prefix_;

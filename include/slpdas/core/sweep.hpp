@@ -1,13 +1,14 @@
 // Parallel scenario-sweep engine.
 //
 // A sweep runs a grid of ExperimentConfigs — network sizes x protocols x
-// attacker specs x radio models — over ONE shared thread pool scheduled
-// at (cell, run) granularity, so a 3x3 grid with 100 seeds each is 900
-// independent work items rather than nine sequential run_experiment
-// calls. Per-cell seeds derive deterministically from the sweep seed and
-// the cell label, so adding, removing or reordering cells never changes
-// any other cell's results, and aggregation happens in run-index order so
-// a sweep's output is byte-identical for any thread count.
+// attacker specs x radio models — over ONE shared thread pool. Each cell
+// executes as contiguous seed slices, every slice replaying its seeds
+// through one RunBatch::Fork (run_batch.hpp) — the only execution path
+// in the library; run_experiment is a one-cell sweep. Per-cell seeds
+// derive deterministically from the sweep seed and the cell label, so
+// adding, removing or reordering cells never changes any other cell's
+// results, and aggregation happens in run-index order so a sweep's output
+// is byte-identical for any thread count or slicing.
 //
 // Sweeps also scale past one process: `SweepOptions::shard_index/count`
 // deterministically partitions the grid by cell index, each shard emits
@@ -108,6 +109,11 @@ class SweepGrid {
 /// virtually never do.
 [[nodiscard]] std::uint64_t hash_sweep_grid(const std::vector<SweepCell>& cells);
 
+/// Options of one run_sweep call. Every cell takes the same path: the
+/// cache probe (when `cache` is set) before any run is scheduled, then the
+/// cell's seed slices on the pool, then one record step — aggregate,
+/// store in the cache, append to `stream`, report to `progress` — which a
+/// cache hit enters directly.
 struct SweepOptions {
   int threads = 0;              ///< 0 = hardware concurrency
   std::uint64_t base_seed = 1;  ///< sweep-level seed, mixed per cell
@@ -133,8 +139,10 @@ struct SweepOptions {
   /// written as ONE flushed write under the sweep mutex, so a killed
   /// process leaves only whole lines (plus at most one torn tail that
   /// read_cell_stream drops). Cells whose runs threw are NOT recorded:
-  /// the stream only ever contains results a resume may trust. The caller
-  /// writes the header record (write_cell_stream_header) first.
+  /// the stream only ever contains results a resume may trust. A failed
+  /// write makes run_sweep throw std::runtime_error, and cells not yet
+  /// simulated are skipped. The caller writes the header record
+  /// (write_cell_stream_header) first.
   std::ostream* stream = nullptr;
   /// Full-grid indices of cells already completed by an earlier streamed
   /// run; run_sweep neither re-runs nor re-reports them (their records
@@ -142,17 +150,12 @@ struct SweepOptions {
   std::vector<std::size_t> skip_cells;
   /// Optional content-addressed result cache (cell_cache.hpp). Probed
   /// once per cell BEFORE any of its runs is scheduled: a validated hit
-  /// skips the simulation entirely (the stored record is reported — and
-  /// streamed — exactly like a computed cell, so folds and documents stay
-  /// bit-identical to a cold run), a miss computes the cell and stores it
-  /// on completion. Not owned; nullptr disables caching.
+  /// skips the simulation entirely and its stored record goes through the
+  /// same record step as a computed cell (reported and streamed, so folds
+  /// and documents stay bit-identical to a cold run); a miss computes the
+  /// cell and stores it on completion. Not owned; nullptr disables
+  /// caching.
   CellCache* cache = nullptr;
-  /// Escape hatch for A/B verification and benchmarking: schedule one
-  /// task per (cell, run) through the unbatched run_single path instead
-  /// of cell-granular RunBatch slices. Results are bit-identical either
-  /// way (the batched-vs-unbatched fingerprint tests pin this); batched
-  /// is faster, so leave this false outside comparisons.
-  bool unbatched = false;
 };
 
 /// Parsed/serialisable view of a sweep JSON document. This is the value
@@ -268,8 +271,10 @@ struct SweepResult {
   double wall_seconds = 0.0;
 };
 
-/// Runs every (cell, run) pair of this shard on an internally owned pool
-/// of `options.threads` workers. `config.runs` supplies the run count; run
+/// Runs every cell of this shard on an internally owned pool of
+/// `options.threads` workers: one seed slice per live cell when live cells
+/// outnumber workers, else each cell split into enough slices to keep
+/// every worker busy. `config.runs` supplies the run count; run
 /// `i` of a cell uses derive_seed(derive_cell_seed(options.base_seed,
 /// seed label), i) — each cell's `config.base_seed` and `config.threads`
 /// are ignored (seeds are sweep-derived, the pool is shared). Throws

@@ -31,7 +31,6 @@ struct NodeInfo {
 struct HelloMessage final : sim::Message {
   static constexpr char kName[] = "HELLO";
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 4; }
 };
 
 struct DissemMessage final : sim::Message {
@@ -44,9 +43,6 @@ struct DissemMessage final : sim::Message {
   std::vector<std::pair<wsn::NodeId, NodeInfo>> ninfo;
 
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override {
-    return 6 + 6 * ninfo.size();
-  }
 };
 
 struct SearchMessage final : sim::Message {
@@ -56,7 +52,6 @@ struct SearchMessage final : sim::Message {
   int dist = 0;                       ///< hops left to travel (SD countdown)
 
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 10; }
 };
 
 struct ChangeMessage final : sim::Message {
@@ -67,7 +62,6 @@ struct ChangeMessage final : sim::Message {
   int dist = 0;                       ///< decoy hops left (CL countdown)
 
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 14; }
 };
 
 struct NormalMessage final : sim::Message {
@@ -78,7 +72,6 @@ struct NormalMessage final : sim::Message {
   std::uint64_t aggregated_seq = 0;
 
   [[nodiscard]] const char* name() const noexcept override { return kName; }
-  [[nodiscard]] std::size_t wire_size() const noexcept override { return 16; }
 };
 
 }  // namespace slpdas::das

@@ -9,7 +9,6 @@
 // may be built once and re-broadcast for the process's lifetime.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 
 namespace slpdas::sim {
@@ -20,10 +19,6 @@ struct Message {
   /// Stable message-type name used for per-type overhead accounting
   /// (e.g. "DISSEM", "SEARCH", "CHANGE", "NORMAL").
   [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-  /// Approximate on-air payload size in bytes, for radio-energy style
-  /// metrics. The default matches a small TinyOS active-message payload.
-  [[nodiscard]] virtual std::size_t wire_size() const noexcept { return 16; }
 };
 
 /// Broadcast payloads are immutable and shared across receivers.

@@ -102,7 +102,6 @@ class Process {
 struct TrafficCounters {
   std::uint64_t sent = 0;
   std::uint64_t received = 0;
-  std::uint64_t bytes_sent = 0;
 };
 
 class Simulator {

@@ -1,24 +1,13 @@
 #include "slpdas/core/experiment.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string_view>
-#include <thread>
 #include <vector>
 
-#include "slpdas/attacker/runtime.hpp"
-#include "slpdas/core/run_batch.hpp"
-#include "slpdas/core/thread_pool.hpp"
 #include "slpdas/detail/spec_format.hpp"
-#include "slpdas/mac/schedule_io.hpp"
-#include "slpdas/phantom/phantom_routing.hpp"
-#include "slpdas/rng.hpp"
-#include "slpdas/verify/das_checker.hpp"
-#include "slpdas/verify/safety_period.hpp"
 
 namespace slpdas::core {
 
@@ -284,18 +273,6 @@ void apply_radio_spec(std::string_view text, ExperimentConfig& config) {
   config.loss_probability = *p;
 }
 
-RunResult run_single(const ExperimentConfig& config, std::uint64_t seed) {
-  return run_single(config, config.topology.build(), seed);
-}
-
-RunResult run_single(const ExperimentConfig& config,
-                     const wsn::Topology& topology, std::uint64_t seed) {
-  // The batch layer hoists everything the seed does not influence; a
-  // one-shot batch makes single runs bit-identical to batched ones by
-  // construction (they ARE batched, with N = 1).
-  return RunBatch(config, topology).run_one(seed);
-}
-
 ExperimentResult aggregate_runs(const std::vector<RunResult>& runs,
                                 bool check_schedules) {
   ExperimentResult aggregate;
@@ -324,53 +301,6 @@ ExperimentResult aggregate_runs(const std::vector<RunResult>& runs,
     aggregate.timer_fires += run.timer_fires;
   }
   return aggregate;
-}
-
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-  if (config.runs < 1) {
-    throw std::invalid_argument("run_experiment: runs must be >= 1");
-  }
-  // Materialise the topology ONCE for all runs — the spec refactor's
-  // contract: configs carry specs, the harness builds per experiment —
-  // then hoist the run-invariant state once into a batch shared by all
-  // workers.
-  const wsn::Topology topology = config.topology.build();
-  const RunBatch batch(config, topology);
-  // Workers execute contiguous run slices (one per worker, so consecutive
-  // seeds run back-to-back against the warm batch); aggregation happens
-  // afterwards in run-index order so the result is bit-identical for any
-  // thread count.
-  std::vector<RunResult> runs(static_cast<std::size_t>(config.runs));
-  const int workers = std::min(config.threads <= 0
-                                   ? static_cast<int>(
-                                         std::thread::hardware_concurrency())
-                                   : config.threads,
-                               config.runs);
-  ThreadPool pool(workers);
-  std::mutex mutex;
-  std::exception_ptr first_error;
-  const int slices = std::max(workers, 1);
-  const int per_slice = (config.runs + slices - 1) / slices;
-  for (int first = 0; first < config.runs; first += per_slice) {
-    const int last = std::min(first + per_slice, config.runs);
-    pool.submit([&, first, last] {
-      try {
-        batch.run_range(config.base_seed, first, last,
-                        runs.data() + static_cast<std::size_t>(first));
-        // slpdas-lint: allow(bare-catch): worker boundary; the exception_ptr is preserved and rethrown on the caller's thread
-      } catch (...) {
-        const std::scoped_lock lock(mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-      }
-    });
-  }
-  pool.wait_idle();
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
-  return aggregate_runs(runs, config.check_schedules);
 }
 
 }  // namespace slpdas::core

@@ -8,35 +8,32 @@
 
 namespace slpdas::core {
 
+namespace {
+
+/// Delivery ratio and latency of one run, read from the source's and the
+/// sink's `Protocol` process.
+template <typename Protocol>
+void read_delivery(const sim::Simulator& simulator,
+                   const wsn::Topology& topology, RunResult& result) {
+  const auto& source =
+      dynamic_cast<const Protocol&>(simulator.process(topology.source));
+  const auto& sink =
+      dynamic_cast<const Protocol&>(simulator.process(topology.sink));
+  const std::uint64_t generated = source.generated_count();
+  if (generated > 0) {
+    result.delivery_ratio = static_cast<double>(sink.delivered_count()) /
+                            static_cast<double>(generated);
+    result.delivery_latency_s = sink.mean_delivery_latency_s();
+  }
+}
+
+}  // namespace
+
 RunBatch::RunBatch(const ExperimentConfig& config,
                    const wsn::Topology& topology)
     : config_(config),
       topology_(topology),
       prefix_(PhasePrefix::capture(config, topology)) {}
-
-void RunBatch::add_processes(sim::Simulator& simulator) const {
-  for (wsn::NodeId node = 0; node < topology_.graph.node_count(); ++node) {
-    switch (config_.protocol) {
-      case ProtocolKind::kSlpDas:
-        simulator.add_process(
-            node, std::make_unique<slp::SlpDas>(prefix_.slp, topology_.sink,
-                                                topology_.source,
-                                                prefix_.das_hello));
-        break;
-      case ProtocolKind::kPhantomRouting:
-        simulator.add_process(node, std::make_unique<phantom::PhantomRouting>(
-                                        prefix_.phantom, topology_.sink,
-                                        topology_.source,
-                                        prefix_.phantom_hello));
-        break;
-      case ProtocolKind::kProtectionlessDas:
-        simulator.add_process(node, std::make_unique<das::ProtectionlessDas>(
-                                        prefix_.das, topology_.sink,
-                                        topology_.source, prefix_.das_hello));
-        break;
-    }
-  }
-}
 
 RunBatch::Fork::Fork(const RunBatch& batch)
     : batch_(batch),
@@ -47,104 +44,95 @@ RunBatch::Fork::Fork(const RunBatch& batch)
       eavesdropper_(simulator_, batch.prefix_.das.frame,
                     batch.config_.attacker.build(batch.topology_.sink),
                     batch.topology_.source) {
-  batch.add_processes(simulator_);
+  const wsn::Topology& topology = batch.topology_;
+  const PhasePrefix& prefix = batch.prefix_;
+  for (wsn::NodeId node = 0; node < topology.graph.node_count(); ++node) {
+    switch (batch.config_.protocol) {
+      case ProtocolKind::kSlpDas:
+        simulator_.add_process(
+            node, std::make_unique<slp::SlpDas>(prefix.slp, topology.sink,
+                                                topology.source,
+                                                prefix.das_hello));
+        break;
+      case ProtocolKind::kPhantomRouting:
+        simulator_.add_process(node, std::make_unique<phantom::PhantomRouting>(
+                                         prefix.phantom, topology.sink,
+                                         topology.source,
+                                         prefix.phantom_hello));
+        break;
+      case ProtocolKind::kProtectionlessDas:
+        simulator_.add_process(node, std::make_unique<das::ProtectionlessDas>(
+                                         prefix.das, topology.sink,
+                                         topology.source, prefix.das_hello));
+        break;
+    }
+  }
 }
 
 RunResult RunBatch::Fork::run(std::uint64_t seed) {
   simulator_.reset_run(seed);
   eavesdropper_.reset_run();
-  return batch_.execute(simulator_, eavesdropper_);
-}
 
-RunResult RunBatch::run_one(std::uint64_t seed) const {
-  sim::Simulator simulator(topology_.graph, make_radio(config_), seed);
-  add_processes(simulator);
-  attacker::AttackerRuntime eavesdropper(
-      simulator, prefix_.das.frame, config_.attacker.build(topology_.sink),
-      topology_.source);
-  return execute(simulator, eavesdropper);
-}
-
-RunResult RunBatch::execute(sim::Simulator& simulator,
-                            attacker::AttackerRuntime& eavesdropper) const {
-  const wsn::Graph& graph = topology_.graph;
+  const wsn::Topology& topology = batch_.topology_;
+  const PhasePrefix& prefix = batch_.prefix_;
+  const wsn::Graph& graph = topology.graph;
 
   // ---- setup phase: periods [0, MSP) --------------------------------------
-  simulator.run_until(prefix_.activation);
+  simulator_.run_until(prefix.activation);
 
   RunResult result;
-  if (!prefix_.is_phantom) {
-    const mac::Schedule schedule = das::extract_schedule(simulator);
+  if (!prefix.is_phantom) {
+    const mac::Schedule schedule = das::extract_schedule(simulator_);
     result.schedule_complete = schedule.complete();
     if (result.schedule_complete) {
       const mac::ScheduleStats stats = mac::compute_stats(schedule);
       result.schedule_slot_span = stats.span;
       result.schedule_density = stats.density;
     }
-    if (config_.check_schedules) {
+    if (batch_.config_.check_schedules) {
       result.weak_das_ok =
-          verify::check_weak_das(graph, schedule, topology_.sink).ok();
+          verify::check_weak_das(graph, schedule, topology.sink).ok();
       result.strong_das_ok =
-          verify::check_strong_das(graph, schedule, topology_.sink).ok();
+          verify::check_strong_das(graph, schedule, topology.sink).ok();
     }
   }
   // ---- data phase + attacker ----------------------------------------------
-  result.safety_periods = prefix_.safety.periods;
-  result.source_sink_distance = prefix_.safety.source_sink_distance;
+  result.safety_periods = prefix.safety.periods;
+  result.source_sink_distance = prefix.safety.source_sink_distance;
 
-  eavesdropper.activate(prefix_.activation);
-  simulator.run_until(prefix_.run_end);
+  eavesdropper_.activate(prefix.activation);
+  simulator_.run_until(prefix.run_end);
 
-  if (eavesdropper.captured() &&
-      *eavesdropper.capture_time() <= prefix_.safety_end) {
+  if (eavesdropper_.captured() &&
+      *eavesdropper_.capture_time() <= prefix.safety_end) {
     result.captured = true;
     result.capture_time_s =
-        sim::to_seconds(*eavesdropper.capture_time() - prefix_.activation);
+        sim::to_seconds(*eavesdropper_.capture_time() - prefix.activation);
   }
-  result.attacker_moves = eavesdropper.moves_made();
+  result.attacker_moves = eavesdropper_.moves_made();
 
   // ---- metrics ------------------------------------------------------------
   // sent_of scans the simulator's flat per-class counters directly; unlike
   // sends_by_type() it materialises no per-run map.
   const auto node_count = static_cast<double>(graph.node_count());
   result.normal_messages_per_node =
-      static_cast<double>(simulator.sent_of("NORMAL")) / node_count;
+      static_cast<double>(simulator_.sent_of("NORMAL")) / node_count;
   result.control_messages_per_node =
-      static_cast<double>(simulator.sent_of("HELLO") +
-                          simulator.sent_of("DISSEM") +
-                          simulator.sent_of("SEARCH") +
-                          simulator.sent_of("CHANGE") +
-                          simulator.sent_of("BEACON")) /
+      static_cast<double>(simulator_.sent_of("HELLO") +
+                          simulator_.sent_of("DISSEM") +
+                          simulator_.sent_of("SEARCH") +
+                          simulator_.sent_of("CHANGE") +
+                          simulator_.sent_of("BEACON")) /
       node_count;
 
-  std::uint64_t generated = 0;
-  std::uint64_t delivered = 0;
-  double latency_s = 0.0;
-  if (prefix_.is_phantom) {
-    const auto& source_process = dynamic_cast<const phantom::PhantomRouting&>(
-        simulator.process(topology_.source));
-    const auto& sink_process = dynamic_cast<const phantom::PhantomRouting&>(
-        simulator.process(topology_.sink));
-    generated = source_process.generated_count();
-    delivered = sink_process.delivered_count();
-    latency_s = sink_process.mean_delivery_latency_s();
+  if (prefix.is_phantom) {
+    read_delivery<phantom::PhantomRouting>(simulator_, topology, result);
   } else {
-    const auto& source_process = dynamic_cast<const das::ProtectionlessDas&>(
-        simulator.process(topology_.source));
-    const auto& sink_process = dynamic_cast<const das::ProtectionlessDas&>(
-        simulator.process(topology_.sink));
-    generated = source_process.generated_count();
-    delivered = sink_process.delivered_count();
-    latency_s = sink_process.mean_delivery_latency_s();
+    read_delivery<das::ProtectionlessDas>(simulator_, topology, result);
   }
-  if (generated > 0) {
-    result.delivery_ratio =
-        static_cast<double>(delivered) / static_cast<double>(generated);
-    result.delivery_latency_s = latency_s;
-  }
-  result.events_executed = simulator.events_executed();
-  result.deliveries = simulator.deliveries_executed();
-  result.timer_fires = simulator.timers_fired();
+  result.events_executed = simulator_.events_executed();
+  result.deliveries = simulator_.deliveries_executed();
+  result.timer_fires = simulator_.timers_fired();
   return result;
 }
 

@@ -274,7 +274,8 @@ int report_safety(std::ostream& out, const SweepJson& document,
     const SweepJsonCell& slp = require_cell(
         document, prefix + "/protocol=" + to_string(ProtocolKind::kSlpDas));
     // Recompute Eq. 1 for this Cs so the table shows the actual safety
-    // period the runs used (the same computation run_single performs).
+    // period the runs used (the same computation the RunBatch's phase
+    // prefix performs).
     const double cs = parse_cs_label(cs_text);
     const verify::SafetyPeriod safety = verify::compute_safety_period(
         topology.graph, topology.source, topology.sink, cs);

@@ -126,9 +126,10 @@ struct CellProgress {
   double wall_seconds = 0.0;
   /// The cell's materialised topology: built lazily by the FIRST worker
   /// to touch the cell (configs only carry specs) and shared read-only by
-  /// the cell's other runs; released again when the last run finishes, so
-  /// peak memory scales with the cells in flight, not the grid.
-  std::once_flag build_topology;
+  /// the cell's other slices; released again when the last slice
+  /// finishes, so peak memory scales with the cells in flight, not the
+  /// grid.
+  std::once_flag build;
   wsn::Topology topology;
   /// Set inside the call_once when the build throws; every slice rethrows
   /// it. The exception must NOT escape the call_once callable itself:
@@ -136,37 +137,206 @@ struct CellProgress {
   /// throwing callable leaves every other waiter blocked forever.
   std::exception_ptr build_error;
   /// The cell's shared run-invariant state, built right after the
-  /// topology (which it references — reset FIRST on release). Absent in
-  /// unbatched mode.
+  /// topology (which it references — reset FIRST on release).
   std::optional<RunBatch> batch;
 };
 
-/// Defined in the JSON section below; run_sweep streams through it.
-SweepJsonCell to_json_cell(const SweepCellResult& cell);
+/// State the execute stage shares across the cells of one call.
+struct Execution {
+  std::vector<CellProgress> cells;
+  std::mutex mutex;  ///< guards the fields below and every record step
+  std::exception_ptr first_error;
+  std::optional<std::size_t> failed_cell;  ///< empty for a record failure
+  std::set<std::thread::id> worker_ids;
+  /// Set once a cell cannot be recorded (ENOSPC, a yanked volume): the
+  /// call will rethrow, so slices skip their simulations — their cells
+  /// could not be recorded and a resume re-runs them anyway.
+  std::atomic<bool> abort{false};
+};
 
-}  // namespace
-
-SweepResult run_sweep(const std::vector<SweepCell>& cells,
-                      const SweepOptions& options) {
-  ThreadPool pool(options.threads);
-  return run_sweep(cells, options, pool);
+/// Slices for one live cell. When live cells outnumber workers, one slice
+/// per cell maximises batch locality; when workers outnumber cells (a
+/// short grid on a wide machine), each cell's seed range splits across
+/// enough slices to keep every worker busy. Seeds, results and documents
+/// are bit-identical either way — only the grouping changes.
+int plan_slices(int runs, std::size_t live_cells, int threads) {
+  if (live_cells >= static_cast<std::size_t>(threads)) {
+    return 1;
+  }
+  const auto live = static_cast<int>(live_cells);
+  return std::min(runs, (threads + live - 1) / live);
 }
 
-SweepResult run_sweep(const std::vector<SweepCell>& cells,
-                      const SweepOptions& options, ThreadPool& pool) {
-  const Clock::time_point sweep_start = Clock::now();
+/// The execute stage for cell `c`: submits runs [0, config.runs) to
+/// `pool` as up to `slices` contiguous slices, run i seeded with
+/// derive_seed(cell_seed, i). The first exception of the call lands in
+/// exec.first_error; `done(c)` runs on the worker that finishes the
+/// cell's last slice.
+template <typename Done>
+void execute_cell(Execution& exec, ThreadPool& pool, std::size_t c,
+                  const ExperimentConfig& config, std::uint64_t cell_seed,
+                  int slices, Done done) {
+  CellProgress& state = exec.cells[c];
+  const int runs = config.runs;
+  const int per_slice = (runs + slices - 1) / slices;
+  state.runs.resize(static_cast<std::size_t>(runs));
+  // ceil(runs / per_slice) actual slices (can be fewer than `slices`).
+  state.remaining.store((runs + per_slice - 1) / per_slice);
 
-  if (options.shard_count < 1 || options.shard_index < 0 ||
-      options.shard_index >= options.shard_count) {
+  for (int first = 0; first < runs; first += per_slice) {
+    const int last = std::min(first + per_slice, runs);
+    pool.submit([&exec, &state, &config, c, cell_seed, first, last, done] {
+      if (!state.started_set.exchange(true)) {
+        state.started = Clock::now();
+      }
+      if (exec.abort.load(std::memory_order_relaxed)) {
+        state.failed.store(true);
+      } else {
+        try {
+          // First slice on the cell materialises its topology and hoists
+          // the batch state. A build failure is captured as an
+          // exception_ptr rather than thrown out of the callable: the
+          // call_once then completes (its synchronisation publishes
+          // build_error to every slice, which rethrows below) and the
+          // once-guard is never left locked.
+          std::call_once(state.build, [&state, &config] {
+            try {
+              state.topology = config.topology.build();
+              state.batch.emplace(config, state.topology);
+              // slpdas-lint: allow(bare-catch): rethrown via exception_ptr below with full type; catching everything keeps the once-guard released
+            } catch (...) {
+              state.build_error = std::current_exception();
+            }
+          });
+          if (state.build_error) {
+            std::rethrow_exception(state.build_error);
+          }
+          state.batch->run_range(
+              cell_seed, first, last,
+              state.runs.data() + static_cast<std::size_t>(first));
+          // slpdas-lint: allow(bare-catch): worker boundary; the exception_ptr keeps the full type and is rethrown on the caller's thread
+        } catch (...) {
+          state.failed.store(true);
+          const std::scoped_lock lock(exec.mutex);
+          if (!exec.first_error) {
+            exec.first_error = std::current_exception();
+            exec.failed_cell = c;
+          }
+        }
+      }
+      {
+        const std::scoped_lock lock(exec.mutex);
+        exec.worker_ids.insert(std::this_thread::get_id());
+      }
+      if (state.remaining.fetch_sub(1) == 1) {
+        // Last slice of this cell: release the batch and topology (batch
+        // first: it references the topology) so memory tracks the cells
+        // in flight, not every cell ever finished.
+        state.batch.reset();
+        state.topology = wsn::Topology{};
+        state.wall_seconds = seconds_between(state.started, Clock::now());
+        done(c);
+      }
+    });
+  }
+}
+
+/// Rethrows `error` as a std::runtime_error naming the cell it came from:
+/// a sweep can run thousands of cells, and "stream resume skipped cell X
+/// because Y" is the difference between a fixable setup error and a
+/// mystery.
+[[noreturn]] void rethrow_naming_cell(const std::string& label,
+                                      const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& inner) {
+    throw std::runtime_error("sweep cell '" + label + "': " + inner.what());
+    // slpdas-lint: allow(bare-catch): the typed handler above names every std::exception; anything else still gets the cell's name
+  } catch (...) {
+    throw std::runtime_error("sweep cell '" + label +
+                             "': unknown exception in worker");
+  }
+}
+
+/// Defined in the JSON section below; the record stage streams through it.
+SweepJsonCell to_json_cell(const SweepCellResult& cell);
+
+/// One run_sweep call, in three stages. schedule() validates the grid,
+/// takes this shard's cells, probes the cache before any run is
+/// scheduled and counts the live cells; execute() hands each live cell to
+/// execute_cell; record() aggregates a cell, stores it in the cache,
+/// writes its stream record with one flush and adds its progress line —
+/// for computed cells (on the worker that finished them) and cache hits
+/// (during schedule()) alike.
+class SweepRun {
+ public:
+  SweepRun(const std::vector<SweepCell>& cells, const SweepOptions& options,
+           ThreadPool& pool)
+      : cells_(cells), options_(options), pool_(pool) {}
+  // Workers hold `this` until the pool drains.
+  SweepRun(const SweepRun&) = delete;
+  SweepRun& operator=(const SweepRun&) = delete;
+
+  SweepResult run() {
+    schedule();
+    if (!exec_.abort.load()) {
+      execute();
+    }
+    pool_.wait_idle();
+    // Flush buffered progress BEFORE rethrowing: the cells that completed
+    // ahead of a failure are exactly the diagnostic context the user
+    // needs.
+    flush_progress();
+    if (exec_.failed_cell) {
+      rethrow_naming_cell(sweep_.cells[*exec_.failed_cell].label,
+                          exec_.first_error);
+    }
+    if (exec_.first_error) {
+      std::rethrow_exception(exec_.first_error);
+    }
+    if (!options_.deterministic_timing) {
+      sweep_.distinct_worker_threads =
+          static_cast<int>(exec_.worker_ids.size());
+      sweep_.wall_seconds = seconds_between(started_, Clock::now());
+    }
+    return std::move(sweep_);
+  }
+
+ private:
+  void schedule();
+  void execute();
+  void record(std::size_t m);
+  void flush_progress();
+
+  const std::vector<SweepCell>& cells_;
+  const SweepOptions& options_;
+  ThreadPool& pool_;
+  const Clock::time_point started_ = Clock::now();
+  SweepResult sweep_;
+  std::vector<std::size_t> mine_;  ///< full-grid index of each shard cell
+  std::size_t live_cells_ = 0;     ///< shard cells the cache did not hold
+  Execution exec_;  ///< cells parallel to mine_ and sweep_.cells
+  // Record-step state, guarded by exec_.mutex. Progress lines accumulate
+  // and flush as ONE stream write at most once per progress_interval_ms
+  // (and once after the pool drains), so lines are never interleaved
+  // mid-way and a fast sweep cannot flood stderr.
+  std::size_t cells_finished_ = 0;
+  std::string progress_pending_;
+  Clock::time_point progress_last_flush_ = started_;
+};
+
+void SweepRun::schedule() {
+  if (options_.shard_count < 1 || options_.shard_index < 0 ||
+      options_.shard_index >= options_.shard_count) {
     throw std::invalid_argument("run_sweep: invalid shard " +
-                                std::to_string(options.shard_index) + "/" +
-                                std::to_string(options.shard_count));
+                                std::to_string(options_.shard_index) + "/" +
+                                std::to_string(options_.shard_count));
   }
 
   // Validate the FULL grid — even cells other shards will run — so every
   // shard agrees on what the grid is before partitioning it.
   std::set<std::string_view> labels;
-  for (const SweepCell& cell : cells) {
+  for (const SweepCell& cell : cells_) {
     if (cell.config.runs < 1) {
       throw std::invalid_argument("run_sweep: cell '" + cell.label +
                                   "' has runs < 1");
@@ -179,352 +349,231 @@ SweepResult run_sweep(const std::vector<SweepCell>& cells,
 
   // Deterministic round-robin partition by full-grid cell index, minus the
   // cells a resumed stream already holds records for.
-  const std::set<std::size_t> skip(options.skip_cells.begin(),
-                                   options.skip_cells.end());
-  std::vector<std::size_t> mine;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    if (c % static_cast<std::size_t>(options.shard_count) ==
-            static_cast<std::size_t>(options.shard_index) &&
+  const std::set<std::size_t> skip(options_.skip_cells.begin(),
+                                   options_.skip_cells.end());
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    if (c % static_cast<std::size_t>(options_.shard_count) ==
+            static_cast<std::size_t>(options_.shard_index) &&
         skip.count(c) == 0) {
-      mine.push_back(c);
+      mine_.push_back(c);
     }
   }
 
-  SweepResult sweep;
-  sweep.base_seed = options.base_seed;
-  sweep.grid_hash = hash_sweep_grid(cells);
-  sweep.shard_index = options.shard_index;
-  sweep.shard_count = options.shard_count;
-  sweep.cells_total = cells.size();
-  sweep.threads = pool.thread_count();
-  sweep.cells.resize(mine.size());
+  sweep_.base_seed = options_.base_seed;
+  sweep_.grid_hash = hash_sweep_grid(cells_);
+  sweep_.shard_index = options_.shard_index;
+  sweep_.shard_count = options_.shard_count;
+  sweep_.cells_total = cells_.size();
+  sweep_.threads = pool_.thread_count();
+  sweep_.cells.resize(mine_.size());
+  exec_.cells = std::vector<CellProgress>(mine_.size());
+  live_cells_ = mine_.size();
 
-  std::vector<CellProgress> progress(mine.size());
-  std::mutex mutex;  // guards worker_ids, finished count, progress buffer
-  std::set<std::thread::id> worker_ids;
-  std::size_t cells_finished = 0;
-  std::exception_ptr first_error;
-  // Set when a stream record write fails (ENOSPC, a yanked volume): the
-  // sweep is then doomed to rethrow, so remaining simulations are skipped
-  // — their cells could not be recorded and a resume re-runs them anyway.
-  std::atomic<bool> stream_failed{false};
-  // Progress lines accumulate here and flush as ONE stream write at most
-  // once per progress_interval_ms (re-checked at every cell completion
-  // and once after the pool drains), so lines are never interleaved
-  // mid-way and a fast sweep cannot flood stderr.
-  std::string progress_pending;
-  Clock::time_point progress_last_flush = sweep_start;
-
-  // Metadata for every cell of this shard first (grid position, derived
-  // seed, canonical spec strings): both the cache probe and the workers
-  // read it.
-  std::vector<std::uint64_t> cell_seeds(mine.size(), 0);
-  for (std::size_t m = 0; m < mine.size(); ++m) {
-    const SweepCell& cell = cells[mine[m]];
-    cell_seeds[m] = derive_cell_seed(
-        options.base_seed,
+  for (std::size_t m = 0; m < mine_.size(); ++m) {
+    const SweepCell& cell = cells_[mine_[m]];
+    SweepCellResult& out = sweep_.cells[m];
+    out.index = mine_[m];
+    out.label = cell.label;
+    out.coordinates = cell.coordinates;
+    out.cell_seed = derive_cell_seed(
+        options_.base_seed,
         cell.seed_label.empty() ? cell.label : cell.seed_label);
-    sweep.cells[m].index = mine[m];
-    sweep.cells[m].label = cell.label;
-    sweep.cells[m].coordinates = cell.coordinates;
-    sweep.cells[m].cell_seed = cell_seeds[m];
-    sweep.cells[m].runs = cell.config.runs;
-    sweep.cells[m].config_topology = cell.config.topology.to_string();
-    sweep.cells[m].config_protocol = format_protocol_spec(
+    out.runs = cell.config.runs;
+    out.config_topology = cell.config.topology.to_string();
+    out.config_protocol = format_protocol_spec(
         cell.config.protocol, cell.config.phantom_walk_length);
-    sweep.cells[m].config_attacker = cell.config.attacker.to_spec();
-    sweep.cells[m].config_radio =
+    out.config_attacker = cell.config.attacker.to_spec();
+    out.config_radio =
         format_radio_spec(cell.config.radio, cell.config.loss_probability);
-  }
-
-  // Consult the result cache BEFORE any run is scheduled: a validated hit
-  // skips the cell entirely (not even its topology is built). Hits are
-  // reported — and streamed — right here, exactly like computed cells, so
-  // the stream and the folded document stay bit-identical to a cold run;
-  // no worker has started yet, so no lock is needed and a stream-write
-  // failure can simply throw.
-  std::vector<char> cached(mine.size(), 0);
-  if (options.cache != nullptr) {
-    for (std::size_t m = 0; m < mine.size(); ++m) {
-      const SweepCell& cell = cells[mine[m]];
-      std::optional<SweepJsonCell> hit = options.cache->lookup(
-          make_cell_cache_key(cell.config, cell_seeds[m],
-                              options.deterministic_timing));
-      if (!hit) {
-        continue;
-      }
-      SweepCellResult& out = sweep.cells[m];
-      // Graft THIS sweep's grid position onto the stored record: the key
-      // pins the experiment's identity, not where the cell sits in the
-      // current grid or how its axis labels are spelled.
-      hit->index = out.index;
-      hit->label = out.label;
-      hit->coordinates = out.coordinates;
-      hit->cell_seed = out.cell_seed;
-      hit->runs = out.runs;
-      hit->has_config = true;
-      hit->config_topology = out.config_topology;
-      hit->config_protocol = out.config_protocol;
-      hit->config_attacker = out.config_attacker;
-      hit->config_radio = out.config_radio;
-      // The stored wall clock (the ORIGINAL compute time — zero under
-      // deterministic timing, whose records live under a separate key)
-      // rides along unchanged.
-      out.wall_seconds = hit->wall_seconds;
-      out.record_perf = hit->has_perf;
-      out.cached = std::move(hit);
-      cached[m] = 1;
-      if (options.stream != nullptr) {
-        std::ostringstream line;
-        write_cell_stream_record(line, *out.cached);
-        *options.stream << line.str();
-        options.stream->flush();
-        if (!options.stream->good()) {
-          throw std::runtime_error(
-              "cell stream write failed (disk full?) — fix the volume and "
-              "resume from the stream file");
-        }
-      }
-      ++cells_finished;
-      if (options.progress != nullptr) {
-        progress_pending += '[';
-        progress_pending += std::to_string(cells_finished);
-        progress_pending += '/';
-        progress_pending += std::to_string(mine.size());
-        progress_pending += "] ";
-        progress_pending += cell.label;
-        progress_pending += " capture=";
-        progress_pending += std::to_string(out.cached->capture_successes);
-        progress_pending += '/';
-        progress_pending += std::to_string(out.cached->capture_trials);
-        progress_pending += " (cached)\n";
-      }
-    }
-    if (!progress_pending.empty() && options.progress != nullptr) {
-      *options.progress << progress_pending;
-      options.progress->flush();
-      progress_pending.clear();
-      progress_last_flush = Clock::now();
-    }
-  }
-
-  // Work is scheduled in CELL-granular slices, not one task per run: a
-  // cell's slice executes consecutive seeds back-to-back against the
-  // cell's shared RunBatch (warm topology + hoisted per-run state). When
-  // live cells outnumber workers, one slice per cell maximises batch
-  // locality; when workers outnumber cells (a short grid on a wide
-  // machine), each cell's seed range splits across enough slices to keep
-  // every worker busy. Either way seeds, results and documents are
-  // bit-identical — only the grouping changes.
-  std::size_t live_cells = 0;
-  for (std::size_t m = 0; m < mine.size(); ++m) {
-    live_cells += cached[m] == 0 ? 1 : 0;
-  }
-  const int threads = pool.thread_count();
-
-  for (std::size_t m = 0; m < mine.size(); ++m) {
-    if (cached[m] != 0) {
+    if (options_.cache == nullptr) {
       continue;
     }
-    const SweepCell& cell = cells[mine[m]];
-    const std::uint64_t cell_seed = cell_seeds[m];
-    const int runs = cell.config.runs;
-
-    int slices = 1;
-    if (options.unbatched) {
-      slices = runs;
-    } else if (live_cells < static_cast<std::size_t>(threads)) {
-      const auto live = static_cast<int>(live_cells);
-      slices = std::min(runs, (threads + live - 1) / live);
+    // Consult the result cache BEFORE any run is scheduled: a validated
+    // hit skips the cell entirely (not even its topology is built) and is
+    // recorded exactly like a computed cell, so the stream and the folded
+    // document stay bit-identical to a cold run.
+    std::optional<SweepJsonCell> hit = options_.cache->lookup(
+        make_cell_cache_key(cell.config, out.cell_seed,
+                            options_.deterministic_timing));
+    if (!hit) {
+      continue;
     }
-    const int per_slice = (runs + slices - 1) / slices;
-    // ceil(runs / per_slice) actual slices (can be fewer than `slices`).
-    const int slice_count = (runs + per_slice - 1) / per_slice;
+    // Graft THIS sweep's grid position onto the stored record: the key
+    // pins the experiment's identity, not where the cell sits in the
+    // current grid or how its axis labels are spelled.
+    hit->index = out.index;
+    hit->label = out.label;
+    hit->coordinates = out.coordinates;
+    hit->cell_seed = out.cell_seed;
+    hit->runs = out.runs;
+    hit->has_config = true;
+    hit->config_topology = out.config_topology;
+    hit->config_protocol = out.config_protocol;
+    hit->config_attacker = out.config_attacker;
+    hit->config_radio = out.config_radio;
+    // The stored wall clock (the ORIGINAL compute time — zero under
+    // deterministic timing, whose records live under a separate key)
+    // rides along unchanged.
+    out.wall_seconds = hit->wall_seconds;
+    out.record_perf = hit->has_perf;
+    out.cached = std::move(hit);
+    --live_cells_;
+    record(m);
+  }
+}
 
-    progress[m].runs.resize(static_cast<std::size_t>(runs));
-    progress[m].remaining.store(slice_count);
+void SweepRun::execute() {
+  for (std::size_t m = 0; m < mine_.size(); ++m) {
+    if (!sweep_.cells[m].cached) {
+      const ExperimentConfig& config = cells_[mine_[m]].config;
+      execute_cell(exec_, pool_, m, config, sweep_.cells[m].cell_seed,
+                   plan_slices(config.runs, live_cells_, pool_.thread_count()),
+                   [this](std::size_t cell) { record(cell); });
+    }
+  }
+}
 
-    for (int first = 0; first < runs; first += per_slice) {
-      const int last = std::min(first + per_slice, runs);
-      pool.submit([&, m, first, last, cell_seed, &cell = cells[mine[m]]] {
-        CellProgress& state = progress[m];
-        if (!state.started_set.exchange(true)) {
-          state.started = Clock::now();
-        }
-        try {
-          if (options.stream != nullptr &&
-              stream_failed.load(std::memory_order_relaxed)) {
-            state.failed.store(true);
-          } else {
-            // First worker on the cell materialises its topology and
-            // hoists the batch state. A build failure is captured as an
-            // exception_ptr rather than thrown out of the callable: the
-            // call_once then completes (its synchronisation publishes
-            // build_error to every slice, which rethrows below) and the
-            // once-guard is never left locked — TSan's pthread_once
-            // interceptor does not release the guard on unwind, so a
-            // throwing callable would deadlock every waiting slice.
-            const bool unbatched = options.unbatched;
-            std::call_once(state.build_topology, [&state, &cell, unbatched] {
-              try {
-                state.topology = cell.config.topology.build();
-                if (!unbatched) {
-                  state.batch.emplace(cell.config, state.topology);
-                }
-                // slpdas-lint: allow(bare-catch): rethrown via exception_ptr below with full type; catching everything keeps the once-guard released
-              } catch (...) {
-                state.build_error = std::current_exception();
-              }
-            });
-            if (state.build_error) {
-              std::rethrow_exception(state.build_error);
-            }
-            if (options.unbatched) {
-              for (int run = first; run < last; ++run) {
-                const std::uint64_t seed =
-                    derive_seed(cell_seed, static_cast<std::uint64_t>(run));
-                state.runs[static_cast<std::size_t>(run)] =
-                    run_single(cell.config, state.topology, seed);
-              }
-            } else {
-              state.batch->run_range(
-                  cell_seed, first, last,
-                  state.runs.data() + static_cast<std::size_t>(first));
-            }
-          }
-        } catch (const std::exception& error) {
-          // Name the failing cell: a sweep can run thousands of them, and
-          // "stream resume skipped cell X because Y" is the difference
-          // between a fixable setup error and a mystery.
-          state.failed.store(true);
-          const std::scoped_lock lock(mutex);
-          if (!first_error) {
-            first_error = std::make_exception_ptr(std::runtime_error(
-                "sweep cell '" + cell.label + "': " + error.what()));
-          }
-          // slpdas-lint: allow(bare-catch): worker boundary; typed handler above names every std::exception, an escaped exception would kill the pool
-        } catch (...) {
-          state.failed.store(true);
-          const std::scoped_lock lock(mutex);
-          if (!first_error) {
-            first_error = std::make_exception_ptr(std::runtime_error(
-                "sweep cell '" + cell.label +
-                "': unknown exception in worker"));
-          }
-        }
-        {
-          const std::scoped_lock lock(mutex);
-          worker_ids.insert(std::this_thread::get_id());
-        }
-        if (state.remaining.fetch_sub(1) == 1) {
-          // Last slice of this cell: aggregate in run-index order so the
-          // result is independent of scheduling, then report. The cell's
-          // batch and topology are done with — release them (batch first:
-          // it references the topology) so sweep memory tracks the cells
-          // in flight, not every cell ever finished.
-          state.batch.reset();
-          state.topology = wsn::Topology{};
-          state.wall_seconds = seconds_between(state.started, Clock::now());
-          SweepCellResult& out = sweep.cells[m];
-          out.result = aggregate_runs(state.runs, cell.config.check_schedules);
-          out.wall_seconds =
-              options.deterministic_timing ? 0.0 : state.wall_seconds;
-          // Perf telemetry rides along only when wall clocks are real;
-          // deterministic documents stay byte-identical to the
-          // pre-telemetry schema.
-          out.record_perf = !options.deterministic_timing;
-          // Compose the stream record — and populate the cache — off-lock;
-          // a cell with a failed run is neither recorded nor stored (a
-          // resume, and a later cache hit, must not trust it).
-          std::string record;
-          if ((options.stream != nullptr || options.cache != nullptr) &&
-              !state.failed.load()) {
-            const SweepJsonCell json_cell = to_json_cell(out);
-            if (options.stream != nullptr) {
-              std::ostringstream line;
-              write_cell_stream_record(line, json_cell);
-              record = line.str();
-            }
-            if (options.cache != nullptr) {
-              // Store failures are non-fatal (counted in the cache's
-              // stats): the sweep still holds the computed result.
-              options.cache->store(
-                  make_cell_cache_key(cell.config, cell_seed,
-                                      options.deterministic_timing),
-                  json_cell);
-            }
-          }
-          const std::scoped_lock lock(mutex);
-          if (!record.empty()) {
-            // One write + flush per record: a kill leaves whole lines (at
-            // worst one torn tail, which read_cell_stream drops).
-            *options.stream << record;
-            options.stream->flush();
-            if (!options.stream->good()) {
-              stream_failed.store(true, std::memory_order_relaxed);
-              if (!first_error) {
-                first_error = std::make_exception_ptr(std::runtime_error(
-                    "cell stream write failed (disk full?) — cells "
-                    "completed past this point are unrecorded; fix the "
-                    "volume and resume from the stream file"));
-              }
-            }
-          }
-          ++cells_finished;
-          if (options.progress != nullptr) {
-            // Compose the whole line off-stream (std::to_chars for the
-            // float: locale-independent, and the shared stream's flags
-            // stay untouched).
-            char wall[32];
-            const auto [end, ec] =
-                std::to_chars(wall, wall + sizeof(wall) - 1,
-                              state.wall_seconds, std::chars_format::fixed, 1);
-            *(ec == std::errc() ? end : wall) = '\0';
-            progress_pending += '[';
-            progress_pending += std::to_string(cells_finished);
-            progress_pending += '/';
-            progress_pending += std::to_string(mine.size());
-            progress_pending += "] ";
-            progress_pending += cell.label;
-            progress_pending += " capture=";
-            progress_pending +=
-                std::to_string(out.result.capture.successes());
-            progress_pending += '/';
-            progress_pending += std::to_string(out.result.capture.trials());
-            progress_pending += " (";
-            progress_pending += wall;
-            progress_pending += "s)\n";
-            const Clock::time_point now = Clock::now();
-            const bool last = cells_finished == mine.size();
-            if (last || seconds_between(progress_last_flush, now) * 1000.0 >=
-                            static_cast<double>(options.progress_interval_ms)) {
-              *options.progress << progress_pending;
-              options.progress->flush();
-              progress_pending.clear();
-              progress_last_flush = now;
-            }
-          }
-        }
-      });
+void SweepRun::record(std::size_t m) {
+  const ExperimentConfig& config = cells_[mine_[m]].config;
+  SweepCellResult& out = sweep_.cells[m];
+  const bool hit = out.cached.has_value();
+  bool trusted = true;
+  if (!hit) {
+    // Aggregate in run-index order so the result is independent of
+    // scheduling. Perf telemetry rides along only when wall clocks are
+    // real; deterministic documents stay byte-identical to the
+    // pre-telemetry schema.
+    const CellProgress& state = exec_.cells[m];
+    out.result = aggregate_runs(state.runs, config.check_schedules);
+    out.wall_seconds = options_.deterministic_timing ? 0.0 : state.wall_seconds;
+    out.record_perf = !options_.deterministic_timing;
+    // A cell with a failed run is neither recorded nor stored (a resume,
+    // and a later cache hit, must not trust it).
+    trusted = !state.failed.load();
+  }
+
+  // Compose the stream record — and populate the cache — off-lock.
+  std::string line;
+  if (trusted && (options_.stream != nullptr ||
+                  (options_.cache != nullptr && !hit))) {
+    std::optional<SweepJsonCell> computed;
+    if (!hit) {
+      computed = to_json_cell(out);
+    }
+    const SweepJsonCell& json_cell = hit ? *out.cached : *computed;
+    if (options_.stream != nullptr) {
+      std::ostringstream record;
+      write_cell_stream_record(record, json_cell);
+      line = record.str();
+    }
+    if (options_.cache != nullptr && !hit) {
+      // Store failures are non-fatal (counted in the cache's stats): the
+      // sweep still holds the computed result.
+      options_.cache->store(
+          make_cell_cache_key(config, out.cell_seed,
+                              options_.deterministic_timing),
+          json_cell);
     }
   }
 
+  const std::scoped_lock lock(exec_.mutex);
+  if (!line.empty() && !exec_.abort.load()) {
+    // One write + flush per record: a kill leaves whole lines (at worst
+    // one torn tail, which read_cell_stream drops).
+    *options_.stream << line;
+    options_.stream->flush();
+    if (!options_.stream->good()) {
+      exec_.abort.store(true);
+      if (!exec_.first_error) {
+        exec_.first_error = std::make_exception_ptr(std::runtime_error(
+            "cell stream write failed (disk full?) — cells completed past "
+            "this point are unrecorded; fix the volume and resume from the "
+            "stream file"));
+      }
+    }
+  }
+  ++cells_finished_;
+  if (options_.progress == nullptr) {
+    return;
+  }
+  // Compose the whole line off-stream (std::to_chars for the float:
+  // locale-independent, and the shared stream's flags stay untouched).
+  char wall[32] = "cached";
+  if (!hit) {
+    const auto [end, ec] = std::to_chars(wall, wall + sizeof(wall) - 2,
+                                         exec_.cells[m].wall_seconds,
+                                         std::chars_format::fixed, 1);
+    char* unit = ec == std::errc() ? end : wall;
+    unit[0] = 's';
+    unit[1] = '\0';
+  }
+  progress_pending_ += '[';
+  progress_pending_ += std::to_string(cells_finished_);
+  progress_pending_ += '/';
+  progress_pending_ += std::to_string(mine_.size());
+  progress_pending_ += "] ";
+  progress_pending_ += out.label;
+  progress_pending_ += " capture=";
+  progress_pending_ += std::to_string(
+      hit ? out.cached->capture_successes : out.result.capture.successes());
+  progress_pending_ += '/';
+  progress_pending_ += std::to_string(hit ? out.cached->capture_trials
+                                          : out.result.capture.trials());
+  progress_pending_ += " (";
+  progress_pending_ += wall;
+  progress_pending_ += ")\n";
+  const Clock::time_point now = Clock::now();
+  if (cells_finished_ == mine_.size() ||
+      seconds_between(progress_last_flush_, now) * 1000.0 >=
+          static_cast<double>(options_.progress_interval_ms)) {
+    flush_progress();
+    progress_last_flush_ = now;
+  }
+}
+
+void SweepRun::flush_progress() {
+  if (!progress_pending_.empty() && options_.progress != nullptr) {
+    *options_.progress << progress_pending_;
+    options_.progress->flush();
+    progress_pending_.clear();
+  }
+}
+
+}  // namespace
+
+SweepResult run_sweep(const std::vector<SweepCell>& cells,
+                      const SweepOptions& options) {
+  ThreadPool pool(options.threads);
+  return run_sweep(cells, options, pool);
+}
+
+SweepResult run_sweep(const std::vector<SweepCell>& cells,
+                      const SweepOptions& options, ThreadPool& pool) {
+  return SweepRun(cells, options, pool).run();
+}
+
+ExperimentResult run_experiment(const ExperimentConfig& config) {
+  if (config.runs < 1) {
+    throw std::invalid_argument("run_experiment: runs must be >= 1");
+  }
+  // One cell, seeded with config.base_seed, on a pool of at most one
+  // worker per run; its errors propagate unwrapped. `exec` outlives the
+  // pool, whose destructor drains any slice still queued.
+  Execution exec;
+  exec.cells = std::vector<CellProgress>(1);
+  const int threads =
+      config.threads > 0
+          ? config.threads
+          : static_cast<int>(std::thread::hardware_concurrency());
+  ThreadPool pool(std::min(threads, config.runs));
+  execute_cell(exec, pool, 0, config, config.base_seed,
+               plan_slices(config.runs, 1, pool.thread_count()),
+               [](std::size_t /*cell*/) {});
   pool.wait_idle();
-  // Flush buffered progress BEFORE rethrowing: the cells that completed
-  // ahead of a failure are exactly the diagnostic context the user needs.
-  if (!progress_pending.empty() && options.progress != nullptr) {
-    *options.progress << progress_pending;
-    options.progress->flush();
+  if (exec.first_error) {
+    std::rethrow_exception(exec.first_error);
   }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
-  sweep.distinct_worker_threads =
-      options.deterministic_timing ? 0 : static_cast<int>(worker_ids.size());
-  sweep.wall_seconds = options.deterministic_timing
-                           ? 0.0
-                           : seconds_between(sweep_start, Clock::now());
-  return sweep;
+  return aggregate_runs(exec.cells[0].runs, config.check_schedules);
 }
 
 // ---------------------------------------------------------------------------

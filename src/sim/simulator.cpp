@@ -200,7 +200,6 @@ void Simulator::reset_run(std::uint64_t seed) {
 void Simulator::do_broadcast(wsn::NodeId from, MessagePtr message) {
   auto& counters = traffic_[static_cast<std::size_t>(from)];
   ++counters.sent;
-  counters.bytes_sent += message->wire_size();
   ++total_sent_;
   count_send(message->name());
 

@@ -40,7 +40,6 @@ TEST(ApiSurfaceTest, UmbrellaHeaderCoversPaperWorkflow) {
   const auto verdict = verify::verify_schedule(
       topology.graph, schedule, attacker, safety.periods, topology.source);
   EXPECT_TRUE(verdict.slp_aware || !verdict.counterexample.empty());
-  EXPECT_GT(sim::total_energy_mj(simulator), 0.0);
 }
 
 TEST(ApiSurfaceTest, PaperScaleConfigurationsConstruct) {

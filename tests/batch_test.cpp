@@ -1,20 +1,22 @@
 // Pins the batched execution contract (run_batch.hpp): hoisting the
-// run-invariant state of a cell out of the per-seed loop must not change
-// a single output bit.
+// run-invariant state of a cell out of the per-seed loop, and replaying
+// seeds through one reused Fork, must not change a single output bit. The
+// cold reference throughout is a freshly constructed Fork per seed: its
+// first run starts from just-constructed state.
 //
-//   * For every registered scenario, the batched sweep document and the
-//     SweepOptions::unbatched one serialise to identical bytes (same FNV
-//     fingerprint the golden tests pin).
-//   * RunBatch::run_one(seed) equals run_single(config, topology, seed)
-//     for every seed, in any execution order — each run owns its seed's
-//     whole RNG stream, so batch-mates cannot bleed randomness into each
-//     other.
+//   * For every registered scenario, a one-thread sweep (one slice per
+//     cell) and a sweep on a pool wider than its cells (cells split
+//     across slices) serialise to identical bytes (same FNV fingerprint
+//     the golden tests pin).
+//   * One reused Fork equals a fresh Fork per seed, in any execution
+//     order — each run owns its seed's whole RNG stream, so batch-mates
+//     cannot bleed randomness into each other.
 //   * run_range slices compose: any partition of [0, runs) into ranges
-//     yields the same dense results as one range or as seed-by-seed
-//     run_one calls.
-//   * RunBatch::Fork — one Simulator replayed through reset_run — equals
-//     cold construction for every registered scenario's cells, in any
-//     seed order, including replaying a seed the fork already ran.
+//     yields the same dense results as one range or as a fresh Fork per
+//     seed.
+//   * A reused Fork — one Simulator replayed through reset_run — equals
+//     fresh Forks for every registered scenario's cells, in any seed
+//     order, including replaying a seed the fork already ran.
 #include "slpdas/core/run_batch.hpp"
 
 #include <cstdint>
@@ -71,9 +73,11 @@ ExperimentConfig small_config(ProtocolKind protocol) {
   return config;
 }
 
-TEST(RunBatchTest, BatchedSweepMatchesUnbatchedForEveryScenario) {
-  // The whole registry, smoke-sized but multi-run, through both
-  // scheduling paths of run_sweep. Byte equality of the serialised
+TEST(RunBatchTest, SlicingDoesNotChangeAnyScenarioDocument) {
+  // The whole registry, smoke-sized but multi-run, through both slicing
+  // regimes of run_sweep: one thread runs each cell as one slice, and a
+  // pool wider than the grid splits every cell's seed range across
+  // slices (and so across Forks). Byte equality of the serialised
   // documents is the same bar the golden fingerprint tests set, so any
   // divergence hoisting introduced — a stale config field, an RNG draw
   // moved across runs — fails here naming the scenario.
@@ -83,7 +87,6 @@ TEST(RunBatchTest, BatchedSweepMatchesUnbatchedForEveryScenario) {
   ScenarioOptions scenario_options;
   scenario_options.smoke = true;
   scenario_options.runs = 3;  // exercise real per-cell seed ranges
-  ThreadPool pool(3);
 
   for (const Scenario& scenario : registry.scenarios()) {
     SCOPED_TRACE(scenario.name);
@@ -92,29 +95,32 @@ TEST(RunBatchTest, BatchedSweepMatchesUnbatchedForEveryScenario) {
     ASSERT_FALSE(cells.empty());
 
     SweepOptions options;
-    options.threads = 3;
     options.base_seed = scenario.resolved_seed(scenario_options);
     options.deterministic_timing = true;
+    const auto document = [&](int threads) {
+      ThreadPool pool(threads);
+      SweepResult result = run_sweep(cells, options, pool);
+      // The pool size is recorded metadata, not a result.
+      result.threads = 0;
+      std::ostringstream out;
+      write_sweep_json(out, result, scenario.name);
+      return out.str();
+    };
 
-    std::ostringstream batched;
-    write_sweep_json(batched, run_sweep(cells, options, pool),
-                     scenario.name);
-    options.unbatched = true;
-    std::ostringstream unbatched;
-    write_sweep_json(unbatched, run_sweep(cells, options, pool),
-                     scenario.name);
-
-    EXPECT_EQ(batched.str(), unbatched.str());
-    EXPECT_EQ(fnv1a_bytes(batched.str()), fnv1a_bytes(unbatched.str()));
+    const std::string one_slice_per_cell = document(1);
+    const std::string split_cells =
+        document(static_cast<int>(cells.size()) + 1);
+    EXPECT_EQ(one_slice_per_cell, split_cells);
+    EXPECT_EQ(fnv1a_bytes(one_slice_per_cell), fnv1a_bytes(split_cells));
   }
 }
 
-TEST(RunBatchTest, RunOneMatchesRunSingleInAnyOrder) {
-  // Seed isolation: a batch executes seeds against shared hoisted state,
+TEST(RunBatchTest, ReusedForkMatchesFreshForksInAnyOrder) {
+  // Seed isolation: a Fork executes seeds against shared hoisted state,
   // so each run's randomness must come only from its own seed — never
-  // from batch construction or from whichever seeds ran before it.
-  // run_one must therefore reproduce run_single exactly even when the
-  // seeds execute in a different order than the unbatched engine used.
+  // from batch construction or from whichever seeds ran before it. One
+  // reused Fork must therefore reproduce a from-scratch run per seed
+  // exactly, whatever order the seeds execute in.
   for (const ProtocolKind protocol :
        {ProtocolKind::kProtectionlessDas, ProtocolKind::kSlpDas,
         ProtocolKind::kPhantomRouting}) {
@@ -128,25 +134,28 @@ TEST(RunBatchTest, RunOneMatchesRunSingleInAnyOrder) {
     }
     std::vector<RunResult> expected;
     for (const std::uint64_t seed : seeds) {
-      expected.push_back(run_single(config, topology, seed));
+      expected.push_back(test::run_seed(config, seed));
     }
 
     const RunBatch batch(config, topology);
-    // Reversed, then interleaved odd/even — both must be order-blind.
+    RunBatch::Fork fork(batch);
+    // Reversed, then interleaved odd/even, then a replay of the first
+    // seed — all must be order-blind.
     for (int run = config.runs - 1; run >= 0; --run) {
-      expect_identical(batch.run_one(seeds[run]), expected[run]);
+      expect_identical(fork.run(seeds[run]), expected[run]);
     }
     for (int parity : {1, 0}) {
       for (int run = parity; run < config.runs; run += 2) {
-        expect_identical(batch.run_one(seeds[run]), expected[run]);
+        expect_identical(fork.run(seeds[run]), expected[run]);
       }
     }
+    expect_identical(fork.run(seeds[0]), expected[0]);
   }
 }
 
 TEST(RunBatchTest, ForkMatchesColdConstructionForEveryScenario) {
   // The fork path reuses one warm Simulator across seeds via reset_run;
-  // the cold path (run_one) constructs a fresh one per seed. Any per-run
+  // the cold reference constructs a fresh Fork per seed. Any per-run
   // state reset_run fails to rewind — a live timer generation, an arena
   // span still holding the previous seed's values, a stale attacker
   // position — diverges here, naming the scenario, cell and seed. Seeds
@@ -175,7 +184,7 @@ TEST(RunBatchTest, ForkMatchesColdConstructionForEveryScenario) {
       std::vector<RunResult> cold;
       for (int run = 0; run < scenario_options.runs; ++run) {
         seeds.push_back(derive_seed(base_seed, run));
-        cold.push_back(batch.run_one(seeds.back()));
+        cold.push_back(RunBatch::Fork(batch).run(seeds.back()));
       }
 
       RunBatch::Fork fork(batch);
@@ -207,7 +216,7 @@ TEST(RunBatchTest, RunRangeSlicesComposeExactly) {
   std::vector<RunResult> seedwise;
   for (int run = 0; run < config.runs; ++run) {
     seedwise.push_back(
-        batch.run_one(derive_seed(config.base_seed, run)));
+        RunBatch::Fork(batch).run(derive_seed(config.base_seed, run)));
   }
 
   const int boundaries[][2] = {{0, 2}, {2, 3}, {3, 6}};

@@ -5,14 +5,18 @@
 // uninterrupted run, composition with the shard merge, and the
 // kill-and-resume path through run_scenario.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "slpdas/core/cell_cache.hpp"
 #include "slpdas/core/fleet.hpp"
 #include "slpdas/core/scenario.hpp"
 #include "slpdas/core/sweep.hpp"
@@ -285,6 +289,57 @@ TEST(CellStreamTest, RunSweepSkipsTheCellsAResumedStreamAlreadyHolds) {
             stream_text(header_for(cells, options),
                         {reference.cells[1], reference.cells[2],
                          reference.cells[4]}));
+}
+
+/// A sink whose every write fails, like a full disk.
+class FullDiskBuffer final : public std::streambuf {
+ protected:
+  int_type overflow(int_type /*ch*/) override { return traits_type::eof(); }
+};
+
+/// Runs the sweep and returns the message of the std::runtime_error it
+/// must throw ("" when it returned normally).
+std::string sweep_failure(const std::vector<SweepCell>& cells,
+                          const SweepOptions& options) {
+  try {
+    (void)run_sweep(cells, options);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(CellStreamTest, AFailedRecordWriteOfAComputedCellThrows) {
+  const auto cells = five_cells();
+  FullDiskBuffer full_disk;
+  std::ostream stream(&full_disk);
+  SweepOptions options = deterministic_options();
+  options.stream = &stream;
+  EXPECT_NE(sweep_failure(cells, options).find("cell stream write failed"),
+            std::string::npos);
+}
+
+TEST(CellStreamTest, AFailedRecordWriteOfACacheHitThrows) {
+  // The first three cells are cached, so the first record the sweep
+  // writes is a hit's; the two cells behind it are never computed once
+  // the stream is known to be broken.
+  const auto cells = five_cells();
+  const std::string dir = ::testing::TempDir() + "cell_stream_full_disk";
+  std::filesystem::remove_all(dir);
+  CellCache cache(dir);
+  SweepOptions options = deterministic_options();
+  options.cache = &cache;
+  (void)run_sweep({cells.begin(), cells.begin() + 3}, options);
+  ASSERT_EQ(cache.stats().stores, 3u);
+
+  FullDiskBuffer full_disk;
+  std::ostream stream(&full_disk);
+  options.stream = &stream;
+  EXPECT_NE(sweep_failure(cells, options).find("cell stream write failed"),
+            std::string::npos);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().stores, 3u);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -42,30 +42,31 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.attacker_moves, b.attacker_moves);
 }
 
-TEST(DeterminismTest, RunSingleIsAPureFunctionOfConfigAndSeed) {
+TEST(DeterminismTest, RunIsAPureFunctionOfConfigAndSeed) {
   for (const ProtocolKind protocol :
        {ProtocolKind::kProtectionlessDas, ProtocolKind::kSlpDas,
         ProtocolKind::kPhantomRouting}) {
     const auto config = small_config(protocol);
-    const RunResult a = run_single(config, 99);
-    const RunResult b = run_single(config, 99);
+    const RunResult a = test::run_seed(config, 99);
+    const RunResult b = test::run_seed(config, 99);
     expect_identical(a, b);
   }
 }
 
-TEST(DeterminismTest, RunSingleIsDeterministicUnderConcurrency) {
+TEST(DeterminismTest, RunIsDeterministicUnderConcurrency) {
   // Eight threads hammer the same (config, seed); every result must match
   // the serial one, proving runs share no hidden mutable state.
   const auto config = small_config(ProtocolKind::kSlpDas);
-  const RunResult expected = run_single(config, 321);
+  const RunResult expected = test::run_seed(config, 321);
 
   constexpr int kThreads = 8;
   std::vector<RunResult> results(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back(
-        [&, i] { results[static_cast<std::size_t>(i)] = run_single(config, 321); });
+    threads.emplace_back([&, i] {
+      results[static_cast<std::size_t>(i)] = test::run_seed(config, 321);
+    });
   }
   for (auto& thread : threads) {
     thread.join();
@@ -104,7 +105,8 @@ TEST(DeterminismTest, PhantomRoutingRunMatchesGoldenSnapshot) {
   // document fingerprint in sweep_test, so this run pins it separately.
   // Regenerate deliberately (and say so in the commit) if phantom
   // behaviour is meant to change.
-  const RunResult r = run_single(small_config(ProtocolKind::kPhantomRouting), 99);
+  const RunResult r =
+      test::run_seed(small_config(ProtocolKind::kPhantomRouting), 99);
   EXPECT_FALSE(r.captured);
   EXPECT_FALSE(r.capture_time_s.has_value());
   EXPECT_EQ(r.safety_periods, 8);
@@ -118,8 +120,8 @@ TEST(DeterminismTest, PhantomRoutingRunMatchesGoldenSnapshot) {
 
 TEST(DeterminismTest, PerfCountersAreDeterministicAndAggregate) {
   const auto config = small_config(ProtocolKind::kSlpDas);
-  const RunResult a = run_single(config, 7);
-  const RunResult b = run_single(config, 7);
+  const RunResult a = test::run_seed(config, 7);
+  const RunResult b = test::run_seed(config, 7);
   EXPECT_GT(a.events_executed, 0u);
   EXPECT_GT(a.deliveries, 0u);
   EXPECT_GT(a.timer_fires, 0u);

@@ -1,8 +1,13 @@
-// Tests for the experiment harness (run_single / run_experiment).
+// Tests for the experiment harness: single seeded runs (through
+// RunBatch::Fork) and run_experiment.
 #include "slpdas/core/experiment.hpp"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "slpdas/core/run_batch.hpp"
+#include "slpdas/rng.hpp"
 #include "test_util.hpp"
 
 namespace slpdas::core {
@@ -21,11 +26,11 @@ ExperimentConfig small_config(ProtocolKind protocol, RadioKind radio,
   return config;
 }
 
-TEST(RunSingleTest, DeterministicForSeed) {
+TEST(SingleRunTest, DeterministicForSeed) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kCasinoLab);
-  const RunResult a = run_single(config, 123);
-  const RunResult b = run_single(config, 123);
+  const RunResult a = test::run_seed(config, 123);
+  const RunResult b = test::run_seed(config, 123);
   EXPECT_EQ(a.captured, b.captured);
   EXPECT_EQ(a.capture_time_s, b.capture_time_s);
   EXPECT_EQ(a.control_messages_per_node, b.control_messages_per_node);
@@ -33,29 +38,29 @@ TEST(RunSingleTest, DeterministicForSeed) {
   EXPECT_EQ(a.attacker_moves, b.attacker_moves);
 }
 
-TEST(RunSingleTest, ReportsScheduleValidity) {
+TEST(SingleRunTest, ReportsScheduleValidity) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal);
-  const RunResult result = run_single(config, 5);
+  const RunResult result = test::run_seed(config, 5);
   EXPECT_TRUE(result.schedule_complete);
   EXPECT_TRUE(result.weak_das_ok);
   // Strong DAS is reported but not guaranteed: Phase 1 only orders a node
   // after its chosen parent, not after every shortest-path neighbour.
 }
 
-TEST(RunSingleTest, SafetyPeriodFieldsFilled) {
+TEST(SingleRunTest, SafetyPeriodFieldsFilled) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal);
-  const RunResult result = run_single(config, 5);
+  const RunResult result = test::run_seed(config, 5);
   EXPECT_EQ(result.source_sink_distance, 4);  // 5x5 grid corner->centre
   EXPECT_EQ(result.safety_periods, 8);        // ceil(1.5 * 5)
 }
 
-TEST(RunSingleTest, CaptureTimeWithinSafetyWhenCaptured) {
+TEST(SingleRunTest, CaptureTimeWithinSafetyWhenCaptured) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal);
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const RunResult result = run_single(config, seed);
+    const RunResult result = test::run_seed(config, seed);
     if (result.captured) {
       ASSERT_TRUE(result.capture_time_s.has_value());
       const double safety_s =
@@ -66,21 +71,21 @@ TEST(RunSingleTest, CaptureTimeWithinSafetyWhenCaptured) {
   }
 }
 
-TEST(RunSingleTest, SlpRunsProduceValidSchedulesToo) {
+TEST(SingleRunTest, SlpRunsProduceValidSchedulesToo) {
   const auto config = small_config(ProtocolKind::kSlpDas, RadioKind::kIdeal);
-  const RunResult result = run_single(config, 9);
+  const RunResult result = test::run_seed(config, 9);
   EXPECT_TRUE(result.schedule_complete);
   EXPECT_TRUE(result.weak_das_ok);
 }
 
-TEST(RunSingleTest, InvalidTopologyRejected) {
+TEST(SingleRunTest, InvalidTopologyRejected) {
   const auto config =
       small_config(ProtocolKind::kProtectionlessDas, RadioKind::kIdeal);
-  // Specs cannot express source == sink, but the materialised overload
-  // still guards against a degenerate caller-built topology.
+  // Specs cannot express source == sink, but RunBatch still guards
+  // against a degenerate caller-built topology.
   wsn::Topology topology = config.topology.build();
   topology.source = topology.sink;
-  EXPECT_THROW((void)run_single(config, topology, 1), std::invalid_argument);
+  EXPECT_THROW((void)RunBatch(config, topology), std::invalid_argument);
 }
 
 TEST(RunExperimentTest, AggregatesAllRuns) {
@@ -104,6 +109,62 @@ TEST(RunExperimentTest, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(serial.capture.successes(), parallel.capture.successes());
   EXPECT_DOUBLE_EQ(serial.control_messages_per_node.mean(),
                    parallel.control_messages_per_node.mean());
+}
+
+void expect_stats_equal(const metrics::RunningStats& a,
+                        const metrics::RunningStats& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  if (a.count() > 0) {  // min and max of an empty stats block are NaN
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+  }
+}
+
+TEST(RunExperimentTest, EqualsAggregateOfForkRunsForEveryProtocol) {
+  // run_experiment is a one-cell sweep whose cell seed is
+  // config.base_seed: run i must still use derive_seed(base_seed, i), so
+  // its aggregate equals folding one Fork's runs over those seeds, field
+  // for field.
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kProtectionlessDas, ProtocolKind::kSlpDas,
+        ProtocolKind::kPhantomRouting}) {
+    SCOPED_TRACE(to_string(protocol));
+    const auto config = small_config(protocol, RadioKind::kCasinoLab, 5);
+    const wsn::Topology topology = config.topology.build();
+    const RunBatch batch(config, topology);
+    RunBatch::Fork fork(batch);
+    std::vector<RunResult> runs;
+    for (int run = 0; run < config.runs; ++run) {
+      runs.push_back(fork.run(
+          derive_seed(config.base_seed, static_cast<std::uint64_t>(run))));
+    }
+    const ExperimentResult expected =
+        aggregate_runs(runs, config.check_schedules);
+    const ExperimentResult actual = run_experiment(config);
+
+    EXPECT_EQ(actual.runs, expected.runs);
+    EXPECT_EQ(actual.capture.trials(), expected.capture.trials());
+    EXPECT_EQ(actual.capture.successes(), expected.capture.successes());
+    expect_stats_equal(actual.capture_time_s, expected.capture_time_s);
+    expect_stats_equal(actual.delivery_ratio, expected.delivery_ratio);
+    expect_stats_equal(actual.delivery_latency_s, expected.delivery_latency_s);
+    expect_stats_equal(actual.control_messages_per_node,
+                       expected.control_messages_per_node);
+    expect_stats_equal(actual.normal_messages_per_node,
+                       expected.normal_messages_per_node);
+    expect_stats_equal(actual.attacker_moves, expected.attacker_moves);
+    expect_stats_equal(actual.slot_band_span, expected.slot_band_span);
+    expect_stats_equal(actual.schedule_density, expected.schedule_density);
+    EXPECT_EQ(actual.schedule_incomplete_runs,
+              expected.schedule_incomplete_runs);
+    EXPECT_EQ(actual.weak_das_failures, expected.weak_das_failures);
+    EXPECT_EQ(actual.strong_das_failures, expected.strong_das_failures);
+    EXPECT_EQ(actual.events_executed, expected.events_executed);
+    EXPECT_EQ(actual.deliveries, expected.deliveries);
+    EXPECT_EQ(actual.timer_fires, expected.timer_fires);
+  }
 }
 
 TEST(RunExperimentTest, RejectsZeroRuns) {

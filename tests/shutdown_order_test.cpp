@@ -155,22 +155,5 @@ TEST(SweepShutdownTest, CompletedCellsAreRecordedBeforeUnwinding) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(SweepShutdownTest, UnbatchedTypedPathReportsTheSameError) {
-  const auto cells = cells_with_one_poisoned(/*good_cells=*/2);
-  SweepOptions options;
-  options.threads = 4;
-  options.base_seed = 3;
-  options.deterministic_timing = true;
-  options.unbatched = true;
-  try {
-    (void)run_sweep(cells, options);
-    FAIL() << "poisoned cell did not fail the unbatched sweep";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("cell=poisoned"),
-              std::string::npos)
-        << error.what();
-  }
-}
-
 }  // namespace
 }  // namespace slpdas::core

@@ -97,7 +97,6 @@ TEST_F(SimulatorTest, TrafficCountersTrackSendsAndReceives) {
             simulator.traffic(0).sent + simulator.traffic(1).sent +
                 simulator.traffic(2).sent);
   EXPECT_EQ(simulator.sends_by_type().at("PING"), simulator.total_sent());
-  EXPECT_GT(simulator.traffic(0).bytes_sent, 0u);
 }
 
 TEST_F(SimulatorTest, DeterministicAcrossIdenticalRuns) {

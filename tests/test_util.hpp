@@ -1,11 +1,14 @@
 // Shared helpers for protocol-level tests: build a simulator running the
 // protectionless or SLP protocol on a topology with fast (test-sized)
-// timing, and run it through its setup phase.
+// timing, and run it through its setup phase; run one seed of an
+// experiment config from scratch.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "slpdas/core/parameters.hpp"
+#include "slpdas/core/run_batch.hpp"
 #include "slpdas/das/protocol.hpp"
 #include "slpdas/sim/simulator.hpp"
 #include "slpdas/slp/slp_das.hpp"
@@ -83,6 +86,16 @@ inline TestNet make_slp_net(wsn::Topology topology,
 /// Runs the network through its full setup phase (periods [0, MSP)).
 inline void run_setup(TestNet& net) {
   net.simulator->run_until(net.setup_end());
+}
+
+/// One seeded run of `config` from scratch: its own topology, batch and
+/// Fork, so nothing another run did can reach it. Deterministic in
+/// (config, seed).
+inline core::RunResult run_seed(const core::ExperimentConfig& config,
+                                std::uint64_t seed) {
+  const wsn::Topology topology = config.topology.build();
+  const core::RunBatch batch(config, topology);
+  return core::RunBatch::Fork(batch).run(seed);
 }
 
 }  // namespace slpdas::test

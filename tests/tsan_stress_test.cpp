@@ -130,7 +130,7 @@ TEST(TsanStressTest, ConcurrentForksShareOnePhasePrefix) {
 
   std::vector<RunResult> cold;
   for (int i = 0; i < kSeeds; ++i) {
-    cold.push_back(batch.run_one(derive_seed(kBaseSeed, i)));
+    cold.push_back(RunBatch::Fork(batch).run(derive_seed(kBaseSeed, i)));
   }
 
   std::vector<RunResult> forked(kSeeds);
