@@ -534,18 +534,16 @@ int trend_command(const CliOptions& options) {
             << options.trend_baseline << " ===\n";
 
   bool failed = false;
-  if (fresh.base_seed != baseline.base_seed ||
-      fresh.grid_hash != baseline.grid_hash) {
-    std::cout << "trend: FAIL — documents describe different experiments "
-                 "(base_seed/grid_hash mismatch); refresh the committed "
-                 "baseline with the same run the CI step uses\n";
-    failed = true;
-  }
-
   // Gate 1 — compare_sweeps' drift detection byte-compares every
   // deterministic field (wall clocks and events/sec are neutralised), so
   // a new result field can never silently escape this gate either.
   const core::SweepComparison comparison = core::compare_sweeps(baseline, fresh);
+  if (comparison.identity_differs) {
+    std::cout << "trend: FAIL — documents describe different experiments "
+                 "(sweep identity mismatch); refresh the committed "
+                 "baseline with the same run the CI step uses\n";
+    failed = true;
+  }
   if (!comparison.clean()) {
     for (const core::CellComparison& cell : comparison.cells) {
       if (cell.drift) {

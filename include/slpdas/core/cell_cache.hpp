@@ -13,8 +13,10 @@
 //
 // The store follows the certstore/canonical split: canonical
 // serialisation IS the key (CellCacheKey::material), writes are atomic
-// (unique tmp file + rename, so concurrent writers of one key are safe
-// and readers never see a torn entry), and every read re-validates the
+// (the library's one atomic writer: a unique tmp file whose counter is
+// process-wide, then a rename — so concurrent writers of one key, even
+// through two CellCache instances over one directory, are safe and
+// readers never see a torn entry), and every read re-validates the
 // record — schema string, stored identity fields, recomputed key — and
 // treats any mismatch, truncation or parse error as a miss to recompute,
 // never as data to trust.
@@ -115,10 +117,11 @@ class CellCache {
   /// recompute instead). Never throws on bad entries.
   [[nodiscard]] std::optional<SweepJsonCell> lookup(const CellCacheKey& key);
 
-  /// Atomically writes the record for `key` (unique tmp file + rename;
-  /// concurrent writers of one key are safe — both write the same
-  /// canonical bytes and the rename is atomic). No-op in read-only mode.
-  /// Returns whether an entry was written; I/O failures count in
+  /// Atomically writes the record for `key` through the shared atomic
+  /// writer (unique tmp file + rename; concurrent writers of one key are
+  /// safe — both write the same canonical bytes and the rename is
+  /// atomic). No-op in read-only mode. Returns whether an entry was
+  /// written; I/O failures count in
   /// stats().store_failures and are non-fatal (the sweep still has the
   /// computed result).
   bool store(const CellCacheKey& key, const SweepJsonCell& cell);
@@ -132,9 +135,8 @@ class CellCache {
  private:
   std::string directory_;
   bool read_only_ = false;
-  mutable std::mutex mutex_;  ///< guards stats_ and the tmp-name counter
+  mutable std::mutex mutex_;  ///< guards stats_
   CellCacheStats stats_;
-  std::uint64_t tmp_counter_ = 0;
 };
 
 // ---------------------------------------------------------------------------

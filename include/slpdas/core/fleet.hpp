@@ -12,7 +12,7 @@
 // while the others drain the rest of the grid.
 //
 // Claim protocol (the part a future ssh/slurm launcher reuses as-is):
-//   <dir>/shardmap.json            manifest (tmp+rename, like CellCache)
+//   <dir>/shardmap.json            manifest (atomic tmp+rename writer)
 //   <dir>/claims/cell-N.claim      exclusive-create (O_EXCL) = ownership
 //   <dir>/claims/cell-N.done       written AFTER the record is flushed
 //   <dir>/claims/cell-N.error      a cell's runs threw; coordinator aborts
@@ -32,12 +32,19 @@
 // every worker re-derives seeds from the full grid, reassignment is free:
 // the replacement recomputes the cell bit-identically.
 //
+// The fleet keeps no primitives of its own. The manifest carries the
+// sweep's identity as a CellStreamHeader, and the worker's manifest check,
+// the coordinator's resume check and the fold's per-stream check all call
+// the one identity check, verify_cell_stream_resumable. The manifest and
+// every marker but the claim are written through the one atomic writer
+// the cell cache uses (unique `.tmp.` sibling, then rename).
+//
 // The fold obeys the "parallel compute, single-threaded stable merge"
-// determinism rule: all worker streams are read back, deduplicated by
+// determinism rule: all worker streams are read back and deduplicated by
 // cell index (duplicates arise only from deaths between the stream flush
 // and the done marker; under --deterministic they must be byte-identical,
-// and a mismatch aborts the fold), sorted, and written through the one
-// sweep-JSON writer — so a fleet document is byte-identical to an
+// and a mismatch aborts the fold), and the survivors go through the one
+// fold, fold_cell_stream — so a fleet document is byte-identical to an
 // unsharded single-process run of the same sweep.
 #pragma once
 
@@ -67,21 +74,20 @@ class CellCache;  // cell_cache.hpp
 /// emit it and the parse_* readers verify it.
 inline constexpr std::string_view kShardMapSchema = "slpdas.shardmap.v1";
 
-/// The sweep identity every participant must agree on, written once by
-/// the coordinator as <dir>/shardmap.json before any worker starts. A
-/// worker refuses to pull cells when its own grid expansion disagrees —
-/// mixed binaries or options would silently corrupt the fold.
+/// The sweep every participant must agree on, written once by the
+/// coordinator as <dir>/shardmap.json before any worker starts. A worker
+/// refuses to pull cells when its own grid expansion disagrees — mixed
+/// binaries or options would silently corrupt the fold.
 struct ShardMapManifest {
-  std::string name;  ///< scenario / document name
-  std::uint64_t base_seed = 0;
-  std::uint64_t grid_hash = 0;    ///< hash_sweep_grid of the FULL grid
-  std::uint64_t cells_total = 0;  ///< full grid size
-  bool deterministic = false;     ///< workers must zero their wall clocks
-  int workers = 0;                ///< fleet size the coordinator launched
-  int worker_threads = 0;         ///< pool size of EACH worker
-  /// workers x worker_threads: the `threads` value of the folded document,
-  /// so `fleet --workers 4` folds byte-identically to `run --threads 4`.
-  int threads_total = 0;
+  /// The sweep's identity (name, base_seed, grid_hash, cells_total,
+  /// deterministic; shard always 0/1, as every worker sees the full grid)
+  /// and the header of the folded stream. Its `threads` is workers x
+  /// worker_threads (serialised as "threads_total"): the `threads` value
+  /// of the folded document, so `fleet --workers 4` folds byte-identically
+  /// to `run --threads 4`.
+  CellStreamHeader sweep;
+  int workers = 0;         ///< fleet size the coordinator launched
+  int worker_threads = 0;  ///< pool size of EACH worker
 };
 
 /// One worker's exclusive ownership of one cell (cell-N.claim). The file's
@@ -139,9 +145,9 @@ struct ShardMapError {
 [[nodiscard]] ShardMapHeartbeat parse_shardmap_heartbeat(const std::string&);
 [[nodiscard]] ShardMapError parse_shardmap_error(const std::string&);
 
-/// Writes <directory>/shardmap.json atomically (unique tmp + rename, the
-/// CellCache store pattern — atomic REPLACEMENT is fine for the manifest,
-/// unlike for claims). Creates the directory if needed.
+/// Writes <directory>/shardmap.json through the shared atomic writer (the
+/// one CellCache stores with — atomic REPLACEMENT is fine for the
+/// manifest, unlike for claims). Creates the directory if needed.
 void write_shardmap_manifest(const std::string& directory,
                              const ShardMapManifest& manifest);
 
@@ -315,14 +321,13 @@ struct FleetOptions {
 // ---------------------------------------------------------------------------
 
 /// Pure fold of worker streams into the unsharded document. Every stream
-/// header must match the manifest (name, base_seed, grid_hash,
-/// cells_total, deterministic; full-grid shard). Records are deduplicated
-/// by cell index — first stream in the given order wins, and under
-/// `manifest.deterministic` a byte-differing duplicate throws (it would
-/// mean two workers disagreed on a cell's results) — then sorted;
-/// coverage of every index is required. The document takes threads from
-/// manifest.threads_total, distinct_worker_threads 0, wall_seconds as the
-/// cell sum — exactly what fold_cell_stream yields for one process.
+/// header must pass verify_cell_stream_resumable against manifest.sweep.
+/// Records are deduplicated by cell index — first stream in the given
+/// order wins, and under `deterministic` a byte-differing duplicate
+/// throws (it would mean two workers disagreed on a cell's results) —
+/// and the survivors fold through fold_cell_stream under manifest.sweep:
+/// coverage of every index is required, threads is manifest.sweep.threads,
+/// exactly what one process streaming the same sweep would fold to.
 [[nodiscard]] SweepJson merge_worker_streams(const ShardMapManifest& manifest,
                                              const std::vector<CellStream>&
                                                  streams);

@@ -26,6 +26,13 @@
 // keeps everything it finished; read_cell_stream + SweepOptions::skip_cells
 // resume such a run, and fold_cell_stream turns the completed stream back
 // into the ordinary document.
+//
+// Shards, streams, the cell cache and the fleet share three primitives:
+// ONE identity check (sweep_identity_mismatch, thrown by
+// verify_cell_stream_resumable) that every layer refuses a foreign sweep
+// through, ONE fold (fold_cell_stream) that both merges also end in, and
+// ONE atomic writer (src/core/atomic_file.hpp) behind every file that is
+// replaced rather than appended to.
 #pragma once
 
 #include <cstddef>
@@ -331,16 +338,17 @@ void write_sweep_json(std::ostream& out, const SweepResult& result,
 /// schema string.
 [[nodiscard]] SweepJson read_sweep_json(std::istream& in);
 
-/// Recombines shard documents of one sweep into the unsharded document:
-/// the inputs must share name, base_seed, grid_hash and cells_total,
-/// carry shard_count equal to
-/// the number of documents with each shard_index present exactly once,
-/// and their cells must cover every index 0..cells_total-1 exactly once.
-/// The merged document has shard 0-of-1, threads and
-/// distinct_worker_threads as the per-shard maxima, and wall_seconds as
-/// the per-shard sum — so merging deterministic-timing shards reproduces
-/// the unsharded deterministic document bit for bit. Throws
-/// std::runtime_error on inconsistent inputs.
+/// Recombines shard documents of one sweep into the unsharded document.
+/// The shard set must be whole: shard_count equal to the number of
+/// documents, each shard_index present once and in range. Every document
+/// must pass verify_cell_stream_resumable against the first one (name,
+/// base_seed, grid_hash, cells_total — documents do not record the timing
+/// mode), and the pooled cells fold through fold_cell_stream, so they must
+/// cover every index 0..cells_total-1 exactly once. The merged document
+/// has shard 0-of-1, threads and distinct_worker_threads as the per-shard
+/// maxima, and wall_seconds as the per-shard sum — so merging
+/// deterministic-timing shards reproduces the unsharded deterministic
+/// document bit for bit. Throws std::runtime_error on inconsistent inputs.
 [[nodiscard]] SweepJson merge_sweep_shards(std::vector<SweepJson> shards);
 
 // ---------------------------------------------------------------------------
@@ -357,13 +365,16 @@ void write_sweep_json(std::ostream& out, const SweepResult& result,
 // compose with merge_sweep_shards unchanged.
 //
 // A stream file has ONE writer at a time: the resume rewrite renames a
-// fresh file over the path, so a second process appending to the same
-// stream concurrently would keep writing to the unlinked old inode and
-// lose its cells. Give concurrent processes distinct files (one per
-// shard) and merge the folded documents instead.
+// fresh file over the path (the shared atomic writer), so a second
+// process appending to the same stream concurrently would keep writing
+// to the unlinked old inode and lose its cells. Give concurrent
+// processes distinct files (one per shard) and merge the folded
+// documents instead.
 
-/// Header record of a cell-stream file: the sweep-level identity a resume
-/// must verify before appending to it.
+/// Header record of a cell-stream file, and the one in-memory record of a
+/// sweep's identity: the fleet manifest carries one, and sweep_identity
+/// derives one from a document, so every layer compares identities with
+/// sweep_identity_mismatch.
 struct CellStreamHeader {
   std::string schema;  ///< "slpdas.cell.v1" when written by this library
   std::string name;    ///< bench identifier (matches the folded document)
@@ -408,21 +419,39 @@ void write_cell_stream_record(std::ostream& out, const SweepJsonCell& cell);
 /// record for one cell throws std::runtime_error.
 [[nodiscard]] CellStream read_cell_stream(std::istream& in);
 
-/// Throws std::runtime_error (naming the first differing field) when
-/// `existing` — the header of a stream file found on disk — does not
-/// describe the same sweep as `expected`. `threads` is deliberately not
-/// compared: a resume may use a different pool size without affecting any
+/// The one sweep-identity comparison. Returns the first field in which
+/// `found` differs from `expected`, as "<field> mismatch (found X,
+/// expected Y)", or nullopt when both describe the same sweep. The fields
+/// are name, base_seed, grid_hash, shard (index and count), cells_total
+/// and deterministic, in that order. `schema` and `threads` are not
+/// identity: a resume may use a different pool size without affecting any
 /// result.
-void verify_cell_stream_resumable(const CellStreamHeader& existing,
-                                  const CellStreamHeader& expected);
+[[nodiscard]] std::optional<std::string> sweep_identity_mismatch(
+    const CellStreamHeader& found, const CellStreamHeader& expected);
 
-/// Folds a COMPLETE stream (every cell of the header's shard present) into
-/// the ordinary "slpdas.sweep.v2" document: cells sorted by index, threads
-/// from the header, distinct_worker_threads 0 and wall_seconds the sum of
-/// the cell wall clocks — so a deterministic-timing stream folds into a
-/// document bit-identical to an uninterrupted run. Throws
-/// std::runtime_error naming the first missing cell when the stream is
-/// still partial (resume the run to complete it).
+/// The identity a sweep document carries. Documents do not record the
+/// timing mode, so `deterministic` is false.
+[[nodiscard]] CellStreamHeader sweep_identity(const SweepJson& document);
+
+/// The one sweep-identity check: throws std::runtime_error "<context>:
+/// <mismatch> — not the same sweep" when sweep_identity_mismatch finds a
+/// difference. Every layer refuses a foreign sweep through it: the
+/// --stream resume, merge_sweep_shards, the fleet worker's manifest
+/// check, the fleet coordinator's resume and merge_worker_streams.
+/// `context` names what was found.
+void verify_cell_stream_resumable(const CellStreamHeader& found,
+                                  const CellStreamHeader& expected,
+                                  std::string_view context = "cell stream");
+
+/// The one fold: turns a COMPLETE stream (every cell of the header's
+/// shard present exactly once) into the ordinary "slpdas.sweep.v2"
+/// document — cells sorted by index, threads from the header,
+/// distinct_worker_threads 0 and wall_seconds the sum of the cell wall
+/// clocks — so a deterministic-timing stream folds into a document
+/// bit-identical to an uninterrupted run. merge_sweep_shards and
+/// merge_worker_streams pool their records and fold through it too.
+/// Throws std::runtime_error naming the first missing cell when the
+/// records do not cover the shard (resume the run to complete it).
 [[nodiscard]] SweepJson fold_cell_stream(const CellStream& stream);
 
 }  // namespace slpdas::core

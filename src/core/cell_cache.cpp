@@ -7,11 +7,9 @@
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
+#include <utility>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
+#include "atomic_file.hpp"
 #include "cell_record.hpp"
 #include "fnv.hpp"
 #include "json.hpp"
@@ -62,10 +60,18 @@ std::string compose_entry(const CellCacheKey& key, const SweepJsonCell& cell) {
   return out.str();
 }
 
-/// Parses and validates one entry file's bytes against `key`, throwing
-/// std::runtime_error (the message becomes the scan report's `error`) on
-/// any corruption, schema drift or identity mismatch.
-SweepJsonCell parse_entry(const std::string& text, const CellCacheKey& key) {
+/// One entry file, parsed and checked for internal consistency.
+struct ParsedEntry {
+  CellCacheKey key;  ///< the identity the entry's header claims
+  SweepJsonCell cell;
+};
+
+/// Parses one entry file's bytes, throwing std::runtime_error (the message
+/// becomes the scan report's `error`) on any corruption or schema drift,
+/// or when the header's stored key hash or the record's seed and run
+/// count disagree with the identity the header claims. Callers then
+/// require that identity to be the one they expect.
+ParsedEntry parse_entry(const std::string& text) {
   // Exactly two newline-terminated lines: a missing final newline is a
   // torn write (never visible through the atomic rename, but a truncated
   // copy or a hand-edited file shows one), and trailing extra lines mean
@@ -89,39 +95,29 @@ SweepJsonCell parse_entry(const std::string& text, const CellCacheKey& key) {
     throw std::runtime_error("cache entry: unknown schema '" + schema + "'");
   }
 
-  // Rebuild the key the entry CLAIMS to be for and require it to be the
-  // one we are probing: a mismatch in any identity field means the file
-  // holds a different experiment's result (hash collision, stale format,
-  // tampering) and must not be trusted.
   const detail::JsonParser::Value& config = header.at("config");
-  CellCacheKey stored;
-  stored.topology = config.at("topology").as_string();
-  stored.protocol = config.at("protocol").as_string();
-  stored.attacker = config.at("attacker").as_string();
-  stored.radio = config.at("radio").as_string();
-  stored.parameters = header.at("parameters").as_string();
-  stored.cell_seed = header.at("cell_seed").as_u64();
-  const double runs = header.at("runs").as_number();
-  stored.runs = static_cast<int>(runs);
-  stored.deterministic = header.at("deterministic").as_bool();
-  if (!(stored == key)) {
-    throw std::runtime_error(
-        "cache entry: stored identity does not match the probed key");
-  }
-  if (header.at("key").as_string() != key.hex()) {
+  ParsedEntry entry;
+  entry.key.topology = config.at("topology").as_string();
+  entry.key.protocol = config.at("protocol").as_string();
+  entry.key.attacker = config.at("attacker").as_string();
+  entry.key.radio = config.at("radio").as_string();
+  entry.key.parameters = header.at("parameters").as_string();
+  entry.key.cell_seed = header.at("cell_seed").as_u64();
+  entry.key.runs = header.at("runs").as_int();
+  entry.key.deterministic = header.at("deterministic").as_bool();
+  if (header.at("key").as_string() != entry.key.hex()) {
     throw std::runtime_error("cache entry: stored key hash mismatch");
   }
 
   detail::JsonParser record_parser(
       text.substr(first_newline + 1, second_newline - first_newline));
-  SweepJsonCell cell =
-      detail::parse_cell_json(record_parser.parse(), /*v2=*/true, 0);
-  if (cell.cell_seed != key.cell_seed ||
-      cell.runs != key.runs) {
+  entry.cell = detail::parse_cell_json(record_parser.parse(), /*v2=*/true, 0);
+  if (entry.cell.cell_seed != entry.key.cell_seed ||
+      entry.cell.runs != entry.key.runs) {
     throw std::runtime_error(
         "cache entry: record disagrees with the entry header");
   }
-  return cell;
+  return entry;
 }
 
 std::string read_file(const std::string& path) {
@@ -257,10 +253,16 @@ std::optional<SweepJsonCell> CellCache::lookup(const CellCacheKey& key) {
     return std::nullopt;
   }
   try {
-    SweepJsonCell cell = parse_entry(read_file(path), key);
+    ParsedEntry entry = parse_entry(read_file(path));
+    // A mismatch in any identity field means the file holds a different
+    // experiment's result (hash collision, stale format, tampering).
+    if (!(entry.key == key)) {
+      throw std::runtime_error(
+          "cache entry: stored identity does not match the probed key");
+    }
     const std::scoped_lock lock(mutex_);
     ++stats_.hits;
-    return cell;
+    return std::move(entry.cell);
   } catch (const std::exception&) {
     // Corrupt, truncated or mismatched: recompute, never trust. The entry
     // stays on disk (diagnosable via `cache verify`) until the recomputed
@@ -275,42 +277,11 @@ bool CellCache::store(const CellCacheKey& key, const SweepJsonCell& cell) {
   if (read_only_) {
     return false;
   }
-  const std::string path = entry_path(key);
-  std::uint64_t token = 0;
-  {
-    const std::scoped_lock lock(mutex_);
-    token = tmp_counter_++;
-  }
-  // Unique tmp name per writer (pid + in-process counter), then an atomic
-  // rename: a reader never observes a partial entry, and two processes
-  // storing the same key race benignly — both rename identical canonical
-  // bytes over the same path.
-  const std::string tmp = path + ".tmp." +
-                          std::to_string(static_cast<long long>(
-#ifdef _WIN32
-                              0
-#else
-                              ::getpid()
-#endif
-                              )) +
-                          "." + std::to_string(token);
-  const std::string payload = compose_entry(key, cell);
-  bool ok = false;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << payload;
-    out.flush();
-    ok = out.good();
-  }
-  if (ok) {
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    ok = !ec;
-  }
-  if (!ok) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-  }
+  // Atomic replacement (atomic_file.hpp): a reader never observes a
+  // partial entry, and two writers storing the same key race benignly —
+  // both rename identical canonical bytes over the same path.
+  const bool ok =
+      detail::write_file_atomically(entry_path(key), compose_entry(key, cell));
   const std::scoped_lock lock(mutex_);
   ++(ok ? stats_.stores : stats_.store_failures);
   return ok;
@@ -370,31 +341,13 @@ CellCacheScanReport scan_cell_cache(const std::string& directory) {
     item.bytes = entry.file_size(ec);
     report.total_bytes += ec ? 0 : item.bytes;
     try {
-      const std::string text = read_file(item.path);
-      // A scan has no probe key; validate the entry against the key its
-      // OWN header claims (parse_entry then checks hash and payload
-      // consistency), plus: the file must live under that key's name.
-      const std::size_t first_newline = text.find('\n');
-      if (first_newline == std::string::npos) {
-        throw std::runtime_error("cache entry: truncated header line");
-      }
-      detail::JsonParser header_parser(text.substr(0, first_newline));
-      const detail::JsonParser::Value header = header_parser.parse();
-      const detail::JsonParser::Value& config = header.at("config");
-      CellCacheKey claimed;
-      claimed.topology = config.at("topology").as_string();
-      claimed.protocol = config.at("protocol").as_string();
-      claimed.attacker = config.at("attacker").as_string();
-      claimed.radio = config.at("radio").as_string();
-      claimed.parameters = header.at("parameters").as_string();
-      claimed.cell_seed = header.at("cell_seed").as_u64();
-      claimed.runs = static_cast<int>(header.at("runs").as_number());
-      claimed.deterministic = header.at("deterministic").as_bool();
-      if (name.substr(0, 16) != claimed.hex()) {
+      // A scan has no probe key: the entry must be consistent with the
+      // key its OWN header claims and live under that key's file name.
+      const ParsedEntry parsed = parse_entry(read_file(item.path));
+      if (name.substr(0, 16) != parsed.key.hex()) {
         throw std::runtime_error(
             "cache entry: file name does not match the recomputed key");
       }
-      (void)parse_entry(text, claimed);
       item.valid = true;
       ++report.valid;
     } catch (const std::exception& error) {

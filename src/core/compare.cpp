@@ -133,9 +133,13 @@ SweepComparison compare_sweeps(const SweepJson& a, const SweepJson& b) {
   SweepComparison comparison;
   comparison.name_a = a.name;
   comparison.name_b = b.name;
+  // Shards of one sweep describe the same experiment, so the shard
+  // fields are left out of the identity compared here.
+  CellStreamHeader identity_b = sweep_identity(b);
+  identity_b.shard_index = a.shard_index;
+  identity_b.shard_count = a.shard_count;
   comparison.identity_differs =
-      a.name != b.name || a.base_seed != b.base_seed ||
-      a.grid_hash != b.grid_hash || a.cells_total != b.cells_total;
+      sweep_identity_mismatch(sweep_identity(a), identity_b).has_value();
 
   std::map<std::string, const SweepJsonCell*> b_cells;
   for (const SweepJsonCell& cell : b.cells) {

@@ -112,15 +112,14 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
   }
 
   ShardMapManifest manifest;
-  manifest.name = scenario.name;
-  manifest.base_seed = scenario.resolved_seed(options);
-  manifest.grid_hash = hash_sweep_grid(cells);
-  manifest.cells_total = cells.size();
-  manifest.deterministic = fleet_options.deterministic;
+  manifest.sweep.name = scenario.name;
+  manifest.sweep.base_seed = scenario.resolved_seed(options);
+  manifest.sweep.grid_hash = hash_sweep_grid(cells);
+  manifest.sweep.cells_total = cells.size();
+  manifest.sweep.deterministic = fleet_options.deterministic;
+  manifest.sweep.threads = fleet_options.workers * fleet_options.worker_threads;
   manifest.workers = fleet_options.workers;
   manifest.worker_threads = fleet_options.worker_threads;
-  manifest.threads_total =
-      fleet_options.workers * fleet_options.worker_threads;
 
   const std::string& dir = fleet_options.directory;
   const ClaimDir claims(dir);
@@ -131,20 +130,18 @@ SweepJson run_fleet(const Scenario& scenario, const ScenarioOptions& options,
   fs::create_directories(logs_dir);
 
   // Resume or initialise: an existing manifest must describe this very
-  // sweep (its threads_total stays authoritative for the fold, so a
-  // resume cannot silently change the document's `threads` field).
+  // sweep, and its fleet-wide pool size stays authoritative for the fold,
+  // so a resume cannot silently change the document's `threads` field.
   if (const std::optional<ShardMapManifest> existing =
           read_shardmap_manifest(dir)) {
-    if (existing->name != manifest.name ||
-        existing->base_seed != manifest.base_seed ||
-        existing->grid_hash != manifest.grid_hash ||
-        existing->cells_total != manifest.cells_total ||
-        existing->deterministic != manifest.deterministic ||
-        existing->threads_total != manifest.threads_total) {
+    verify_cell_stream_resumable(existing->sweep, manifest.sweep,
+                                 "fleet: " + dir + " manifest");
+    if (existing->sweep.threads != manifest.sweep.threads) {
       throw std::runtime_error(
-          "fleet: " + dir +
-          " already holds a different sweep (or different fleet shape); "
-          "use a fresh --fleet-dir or matching options");
+          "fleet: " + dir + " was started with " +
+          std::to_string(existing->sweep.threads) +
+          " thread(s) in total; resume it with the same --workers x "
+          "--worker-threads or use a fresh --fleet-dir");
     }
     manifest = *existing;
     log_line(fleet_options.log,

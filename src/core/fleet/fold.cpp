@@ -1,7 +1,8 @@
 // The fleet fold: worker streams -> one unsharded "slpdas.sweep.v2"
 // document, byte-identical (under deterministic timing) to a
 // single-process run. This is the single-threaded stable merge of the
-// determinism contract — all the parallelism happened in the workers.
+// determinism contract — all the parallelism happened in the workers —
+// and it adds only the cross-worker dedupe to fold_cell_stream.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -31,32 +32,6 @@ namespace fs = std::filesystem;
   return std::move(out).str();
 }
 
-void verify_stream_header(const CellStreamHeader& header,
-                          const ShardMapManifest& manifest) {
-  const auto mismatch = [&header](const std::string& field) {
-    throw std::runtime_error("fleet fold: stream for sweep '" + header.name +
-                             "' does not match the manifest (" + field + ")");
-  };
-  if (header.name != manifest.name) {
-    mismatch("name");
-  }
-  if (header.base_seed != manifest.base_seed) {
-    mismatch("base_seed");
-  }
-  if (header.grid_hash != manifest.grid_hash) {
-    mismatch("grid_hash");
-  }
-  if (header.cells_total != manifest.cells_total) {
-    mismatch("cells_total");
-  }
-  if (header.deterministic != manifest.deterministic) {
-    mismatch("deterministic");
-  }
-  if (header.shard_index != 0 || header.shard_count != 1) {
-    mismatch("shard (fleet workers always see the full grid)");
-  }
-}
-
 }  // namespace
 
 SweepJson merge_worker_streams(const ShardMapManifest& manifest,
@@ -66,10 +41,11 @@ SweepJson merge_worker_streams(const ShardMapManifest& manifest,
   // the directory contents alone.
   std::map<std::uint64_t, const SweepJsonCell*> chosen;
   for (const CellStream& stream : streams) {
-    verify_stream_header(stream.header, manifest);
+    verify_cell_stream_resumable(stream.header, manifest.sweep,
+                                 "fleet fold: worker stream");
     for (const SweepJsonCell& cell : stream.cells) {
       const auto [it, inserted] = chosen.emplace(cell.index, &cell);
-      if (!inserted && manifest.deterministic &&
+      if (!inserted && manifest.sweep.deterministic &&
           record_bytes(cell) != record_bytes(*it->second)) {
         throw std::runtime_error(
             "fleet fold: cell " + std::to_string(cell.index) +
@@ -78,36 +54,15 @@ SweepJson merge_worker_streams(const ShardMapManifest& manifest,
       }
     }
   }
-  for (std::uint64_t index = 0; index < manifest.cells_total; ++index) {
-    if (chosen.count(index) == 0) {
-      throw std::runtime_error(
-          "fleet fold: cell " + std::to_string(index) +
-          " is missing from every worker stream (fleet run incomplete?)");
-    }
-  }
-
-  SweepJson document;
-  document.schema = "slpdas.sweep.v2";
-  document.name = manifest.name;
-  document.base_seed = manifest.base_seed;
-  document.grid_hash = manifest.grid_hash;
-  document.shard_index = 0;
-  document.shard_count = 1;
-  document.cells_total = manifest.cells_total;
-  // workers x worker_threads: the pool size a single-process run would
-  // have used, so the folded document is byte-identical to `run
-  // --threads N` (results never depend on the pool size; the field is
-  // descriptive).
-  document.threads = manifest.threads_total;
-  document.distinct_worker_threads = 0;
-  document.cells.reserve(chosen.size());
-  double wall_seconds = 0.0;
+  // The survivors fold like ONE process's full-grid stream whose pool was
+  // the whole fleet (manifest.sweep.threads = workers x worker_threads).
+  CellStream folded;
+  folded.header = manifest.sweep;
+  folded.cells.reserve(chosen.size());
   for (const auto& [index, cell] : chosen) {
-    wall_seconds += cell->wall_seconds;
-    document.cells.push_back(*cell);
+    folded.cells.push_back(*cell);
   }
-  document.wall_seconds = wall_seconds;
-  return document;
+  return fold_cell_stream(folded);
 }
 
 SweepJson fold_fleet_directory(const std::string& directory) {

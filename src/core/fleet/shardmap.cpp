@@ -2,11 +2,11 @@
 // ("slpdas.shardmap.v1"): the on-disk wire protocol between the fleet
 // coordinator and its workers. Claims are exclusive-create files (the
 // open(2) is the lock); everything else — manifest, done markers,
-// heartbeats, error markers — is written whole via unique-tmp + rename,
-// the CellCache pattern, so a reader only ever sees complete records.
+// heartbeats, error markers — is written whole through the shared atomic
+// writer CellCache also stores with, so a reader only ever sees complete
+// records.
 #include "slpdas/core/fleet.hpp"
 
-#include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <filesystem>
@@ -24,6 +24,7 @@
 #include <unistd.h>
 #endif
 
+#include "../atomic_file.hpp"
 #include "../json.hpp"
 
 namespace slpdas::core {
@@ -32,41 +33,12 @@ namespace {
 namespace fs = std::filesystem;
 using Value = detail::JsonParser::Value;
 
-/// Unique-tmp counter for the rename-based writers (claims use O_EXCL and
-/// never come through here).
-std::atomic<std::uint64_t> g_tmp_counter{0};
-
-[[nodiscard]] long long current_pid() {
-#ifdef _WIN32
-  return 0;
-#else
-  return static_cast<long long>(::getpid());
-#endif
-}
-
-/// Writes `line` + '\n' to `path` atomically (unique tmp, then rename —
-/// which REPLACES any previous file, exactly right for heartbeats and
-/// idempotent markers). Throws std::runtime_error on failure.
+/// Writes `line` + '\n' to `path` through the shared atomic writer (which
+/// REPLACES any previous file, exactly right for heartbeats and idempotent
+/// markers). Throws std::runtime_error on failure.
 void atomic_write_line(const std::string& path, const std::string& line) {
-  const std::string tmp = path + ".tmp." + std::to_string(current_pid()) +
-                          "." + std::to_string(g_tmp_counter++);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << line << '\n';
-    out.flush();
-    if (!out.good()) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      throw std::runtime_error("shardmap: cannot write " + tmp);
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code remove_ec;
-    fs::remove(tmp, remove_ec);
-    throw std::runtime_error("shardmap: cannot rename " + tmp + " to " +
-                             path + ": " + ec.message());
+  if (!detail::write_file_atomically(path, line + '\n')) {
+    throw std::runtime_error("shardmap: cannot write " + path);
   }
 }
 
@@ -99,15 +71,6 @@ std::ostream& record_head(std::ostream& out, const char* type) {
                              "'");
   }
   return value;
-}
-
-[[nodiscard]] int as_int(const Value& value, const char* key) {
-  const std::uint64_t raw = value.as_u64();
-  if (raw > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    throw std::runtime_error(std::string("shardmap: ") + key +
-                             " out of range");
-  }
-  return static_cast<int>(raw);
 }
 
 [[nodiscard]] std::int64_t as_pid(const Value& value) {
@@ -173,14 +136,15 @@ std::ostream& record_head(std::ostream& out, const char* type) {
 std::string format_shardmap_manifest(const ShardMapManifest& manifest) {
   std::ostringstream out;
   record_head(out, "manifest");
-  append_string(out, "name", manifest.name);
-  out << ", \"base_seed\": " << manifest.base_seed
-      << ", \"grid_hash\": " << manifest.grid_hash
-      << ", \"cells_total\": " << manifest.cells_total
-      << ", \"deterministic\": " << (manifest.deterministic ? "true" : "false")
+  const CellStreamHeader& sweep = manifest.sweep;
+  append_string(out, "name", sweep.name);
+  out << ", \"base_seed\": " << sweep.base_seed
+      << ", \"grid_hash\": " << sweep.grid_hash
+      << ", \"cells_total\": " << sweep.cells_total
+      << ", \"deterministic\": " << (sweep.deterministic ? "true" : "false")
       << ", \"workers\": " << manifest.workers
       << ", \"worker_threads\": " << manifest.worker_threads
-      << ", \"threads_total\": " << manifest.threads_total << '}';
+      << ", \"threads_total\": " << sweep.threads << '}';
   return std::move(out).str();
 }
 
@@ -224,15 +188,15 @@ std::string format_shardmap_error(const ShardMapError& error) {
 ShardMapManifest parse_shardmap_manifest(const std::string& text) {
   const Value value = parse_record(text, "manifest");
   ShardMapManifest manifest;
-  manifest.name = value.at("name").as_string();
-  manifest.base_seed = value.at("base_seed").as_u64();
-  manifest.grid_hash = value.at("grid_hash").as_u64();
-  manifest.cells_total = value.at("cells_total").as_u64();
-  manifest.deterministic = value.at("deterministic").as_bool();
-  manifest.workers = as_int(value.at("workers"), "workers");
-  manifest.worker_threads =
-      as_int(value.at("worker_threads"), "worker_threads");
-  manifest.threads_total = as_int(value.at("threads_total"), "threads_total");
+  CellStreamHeader& sweep = manifest.sweep;
+  sweep.name = value.at("name").as_string();
+  sweep.base_seed = value.at("base_seed").as_u64();
+  sweep.grid_hash = value.at("grid_hash").as_u64();
+  sweep.cells_total = value.at("cells_total").as_u64();
+  sweep.deterministic = value.at("deterministic").as_bool();
+  sweep.threads = value.at("threads_total").as_int();
+  manifest.workers = value.at("workers").as_int();
+  manifest.worker_threads = value.at("worker_threads").as_int();
   return manifest;
 }
 

@@ -114,31 +114,6 @@ class HeartbeatThread {
   }
 }
 
-void verify_manifest(const ShardMapManifest& manifest,
-                     const ShardMapManifest& expected) {
-  const auto mismatch = [](const std::string& field) {
-    throw std::runtime_error(
-        "fleet worker: manifest " + field +
-        " does not match this process's grid expansion — mixed binaries "
-        "or mismatched scenario options");
-  };
-  if (manifest.name != expected.name) {
-    mismatch("name");
-  }
-  if (manifest.base_seed != expected.base_seed) {
-    mismatch("base_seed");
-  }
-  if (manifest.grid_hash != expected.grid_hash) {
-    mismatch("grid_hash");
-  }
-  if (manifest.cells_total != expected.cells_total) {
-    mismatch("cells_total");
-  }
-  if (manifest.deterministic != expected.deterministic) {
-    mismatch("deterministic");
-  }
-}
-
 std::size_t worker_loop(const Scenario& scenario,
                         const ScenarioOptions& options,
                         const FleetWorkerOptions& worker_options,
@@ -147,7 +122,7 @@ std::size_t worker_loop(const Scenario& scenario,
   if (cells.empty()) {
     throw std::runtime_error("fleet worker: scenario expands to no cells");
   }
-  ShardMapManifest expected;
+  CellStreamHeader expected;
   expected.name = scenario.name;
   expected.base_seed = scenario.resolved_seed(options);
   expected.grid_hash = hash_sweep_grid(cells);
@@ -155,7 +130,9 @@ std::size_t worker_loop(const Scenario& scenario,
   expected.deterministic = worker_options.deterministic;
   const ShardMapManifest manifest =
       await_manifest(worker_options.directory);
-  verify_manifest(manifest, expected);
+  // A mismatch means mixed binaries or mismatched scenario options.
+  verify_cell_stream_resumable(manifest.sweep, expected,
+                               "fleet worker: manifest");
 
   // One stream file per worker INCARNATION: the coordinator hands every
   // spawn (replacements included) a fresh name, so a stream never has a
@@ -173,14 +150,9 @@ std::size_t worker_loop(const Scenario& scenario,
   if (!stream) {
     throw std::runtime_error("fleet worker: cannot open " + stream_path);
   }
-  CellStreamHeader header;
-  header.name = manifest.name;
-  header.base_seed = manifest.base_seed;
-  header.grid_hash = manifest.grid_hash;
-  header.shard_index = 0;
-  header.shard_count = 1;  // every worker sees the full grid
-  header.cells_total = manifest.cells_total;
-  header.deterministic = manifest.deterministic;
+  // Every worker sees the full grid (shard 0/1, as in the manifest); the
+  // stream records this worker's own pool size.
+  CellStreamHeader header = manifest.sweep;
   header.threads = worker_options.threads;
   write_cell_stream_header(stream, header);
   stream.flush();
@@ -217,8 +189,8 @@ std::size_t worker_loop(const Scenario& scenario,
       }
       SweepOptions sweep_options;
       sweep_options.threads = worker_options.threads;
-      sweep_options.base_seed = manifest.base_seed;
-      sweep_options.deterministic_timing = manifest.deterministic;
+      sweep_options.base_seed = manifest.sweep.base_seed;
+      sweep_options.deterministic_timing = manifest.sweep.deterministic;
       sweep_options.stream = &stream;
       sweep_options.cache = worker_options.cache;
       sweep_options.progress = worker_options.log;

@@ -123,6 +123,18 @@ class JsonParser {
       return value;
     }
 
+    /// as_u64 limited to int: every int field read from disk (run, thread
+    /// and failure counts, shard specs) is non-negative, so null, a
+    /// fraction, a sign or a value past INT_MAX is malformed input — never
+    /// a truncating or undefined double-to-int cast.
+    [[nodiscard]] int as_int() const {
+      const std::uint64_t value = as_u64();
+      if (value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        throw std::runtime_error("json: integer out of range: " + raw);
+      }
+      return static_cast<int>(value);
+    }
+
     [[nodiscard]] bool as_bool() const {
       if (kind != Kind::kBool) {
         throw std::runtime_error("json: expected boolean");

@@ -1,7 +1,6 @@
 #include "slpdas/core/scenario.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -9,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "atomic_file.hpp"
 #include "scenarios/common.hpp"
 
 namespace slpdas::core {
@@ -178,27 +178,15 @@ SweepJson run_scenario(const Scenario& scenario,
     const CellStream existing = read_cell_stream(existing_in);
     verify_cell_stream_resumable(existing.header, header);
     // Crash-safe rewrite: re-serialise the verified whole-line content
-    // (byte-stable through the single writer) into a sibling file and
-    // rename it over, so a torn tail never precedes appended records and
-    // a kill during the rewrite still leaves the original stream intact.
-    const std::string rewrite_path = path + ".resume-tmp";
-    {
-      std::ofstream rewrite(rewrite_path,
-                            std::ios::binary | std::ios::trunc);
-      if (!rewrite) {
-        throw std::runtime_error("cannot open " + rewrite_path +
-                                 " for writing");
-      }
-      write_cell_stream_header(rewrite, existing.header);
-      for (const SweepJsonCell& cell : existing.cells) {
-        write_cell_stream_record(rewrite, cell);
-      }
-      rewrite.flush();
-      if (!rewrite) {
-        throw std::runtime_error("cannot rewrite " + rewrite_path);
-      }
+    // (byte-stable through the single writer) and replace the file
+    // atomically, so a torn tail never precedes appended records and a
+    // kill during the rewrite still leaves the original stream intact.
+    std::ostringstream rewrite;
+    write_cell_stream_header(rewrite, existing.header);
+    for (const SweepJsonCell& cell : existing.cells) {
+      write_cell_stream_record(rewrite, cell);
     }
-    if (std::rename(rewrite_path.c_str(), path.c_str()) != 0) {
+    if (!detail::write_file_atomically(path, rewrite.str())) {
       throw std::runtime_error("cannot replace " + path +
                                " with its resume rewrite");
     }

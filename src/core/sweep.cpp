@@ -9,6 +9,7 @@
 #include <exception>
 #include <iomanip>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <ostream>
@@ -866,7 +867,7 @@ SweepJsonCell parse_cell_json(const JsonParser::Value& cell_value, bool v2,
     cell.coordinates.emplace_back(key, value.as_string());
   }
   cell.cell_seed = cell_value.at("cell_seed").as_u64();
-  cell.runs = static_cast<int>(cell_value.at("runs").as_number());
+  cell.runs = cell_value.at("runs").as_int();
   if (const JsonParser::Value* config = cell_value.find("config")) {
     // Optional: absent only in documents older than the spec layer.
     cell.has_config = true;
@@ -898,11 +899,9 @@ SweepJsonCell parse_cell_json(const JsonParser::Value& cell_value, bool v2,
     cell.schedule_density = parse_stats(cell_value.at("schedule_density"));
   }
   cell.schedule_incomplete_runs =
-      static_cast<int>(cell_value.at("schedule_incomplete_runs").as_number());
-  cell.weak_das_failures =
-      static_cast<int>(cell_value.at("weak_das_failures").as_number());
-  cell.strong_das_failures =
-      static_cast<int>(cell_value.at("strong_das_failures").as_number());
+      cell_value.at("schedule_incomplete_runs").as_int();
+  cell.weak_das_failures = cell_value.at("weak_das_failures").as_int();
+  cell.strong_das_failures = cell_value.at("strong_das_failures").as_int();
   cell.wall_seconds = cell_value.at("wall_seconds").as_number();
   if (const JsonParser::Value* perf = cell_value.find("perf")) {
     // Optional: present only in real-clock documents (never under
@@ -934,15 +933,14 @@ SweepJson read_sweep_json(std::istream& in) {
     document.base_seed = root.at("base_seed").as_u64();
     document.grid_hash = root.at("grid_hash").as_u64();
     const JsonParser::Value& shard = root.at("shard");
-    document.shard_index = static_cast<int>(shard.at("index").as_number());
-    document.shard_count = static_cast<int>(shard.at("count").as_number());
+    document.shard_index = shard.at("index").as_int();
+    document.shard_count = shard.at("count").as_int();
     document.cells_total = shard.at("cells_total").as_u64();
   }
-  document.threads = static_cast<int>(root.at("threads").as_number());
+  document.threads = root.at("threads").as_int();
   if (const JsonParser::Value* distinct =
           root.find("distinct_worker_threads")) {
-    document.distinct_worker_threads =
-        static_cast<int>(distinct->as_number());
+    document.distinct_worker_threads = distinct->as_int();
   }
   document.wall_seconds = root.at("wall_seconds").as_number();
 
@@ -965,39 +963,16 @@ SweepJson merge_sweep_shards(std::vector<SweepJson> shards) {
     throw std::runtime_error("merge: no shard documents");
   }
   const int count = static_cast<int>(shards.size());
-
-  SweepJson merged;
-  merged.schema = std::string(kSchemaV2);
-  merged.name = shards.front().name;
-  merged.base_seed = shards.front().base_seed;
-  merged.grid_hash = shards.front().grid_hash;
-  merged.cells_total = shards.front().cells_total;
-  merged.shard_index = 0;
-  merged.shard_count = 1;
-
+  // The shards pool into one full-grid stream; merged wall_seconds is the
+  // per-shard sum and the thread fields the per-shard maxima.
+  CellStream pooled;
+  pooled.header = sweep_identity(shards.front());
+  pooled.header.shard_index = 0;
+  pooled.header.shard_count = 1;
+  int distinct_worker_threads = 0;
+  double wall_seconds = 0.0;
   std::set<int> seen_indices;
   for (SweepJson& shard : shards) {
-    if (shard.name != merged.name) {
-      throw std::runtime_error("merge: shard names differ ('" + merged.name +
-                               "' vs '" + shard.name + "')");
-    }
-    if (shard.base_seed != merged.base_seed) {
-      // Mixed seeds would silently break the common-random-numbers
-      // pairing between cells that landed on different shards.
-      throw std::runtime_error(
-          "merge: shard base seeds differ (" +
-          std::to_string(merged.base_seed) + " vs " +
-          std::to_string(shard.base_seed) + ")");
-    }
-    if (shard.grid_hash != merged.grid_hash) {
-      // Different full-grid fingerprints mean the shards were produced
-      // from different grids (e.g. one run used --sd 5 or another
-      // --runs value); interleaving them would fabricate an experiment
-      // nobody ran.
-      throw std::runtime_error(
-          "merge: shard grids differ (were the shards run with identical "
-          "scenario options?)");
-    }
     if (shard.shard_count != count) {
       throw std::runtime_error(
           "merge: document expects " + std::to_string(shard.shard_count) +
@@ -1012,33 +987,25 @@ SweepJson merge_sweep_shards(std::vector<SweepJson> shards) {
                                std::to_string(shard.shard_index) +
                                " out of range");
     }
-    if (shard.cells_total != merged.cells_total) {
-      throw std::runtime_error("merge: cells_total differs across shards");
-    }
-    merged.threads = std::max(merged.threads, shard.threads);
-    merged.distinct_worker_threads = std::max(merged.distinct_worker_threads,
-                                              shard.distinct_worker_threads);
-    merged.wall_seconds += shard.wall_seconds;
-    for (SweepJsonCell& cell : shard.cells) {
-      merged.cells.push_back(std::move(cell));
-    }
+    // Mixed seeds would silently break the common-random-numbers pairing
+    // between cells on different shards; a different grid would
+    // interleave an experiment nobody ran.
+    CellStreamHeader expected = pooled.header;
+    expected.shard_index = shard.shard_index;
+    expected.shard_count = count;
+    verify_cell_stream_resumable(
+        sweep_identity(shard), expected,
+        "merge: shard " + std::to_string(shard.shard_index));
+    pooled.header.threads = std::max(pooled.header.threads, shard.threads);
+    distinct_worker_threads =
+        std::max(distinct_worker_threads, shard.distinct_worker_threads);
+    wall_seconds += shard.wall_seconds;
+    std::move(shard.cells.begin(), shard.cells.end(),
+              std::back_inserter(pooled.cells));
   }
-
-  std::sort(merged.cells.begin(), merged.cells.end(),
-            [](const SweepJsonCell& a, const SweepJsonCell& b) {
-              return a.index < b.index;
-            });
-  if (merged.cells.size() != merged.cells_total) {
-    throw std::runtime_error(
-        "merge: shards carry " + std::to_string(merged.cells.size()) +
-        " cells, expected " + std::to_string(merged.cells_total));
-  }
-  for (std::size_t i = 0; i < merged.cells.size(); ++i) {
-    if (merged.cells[i].index != i) {
-      throw std::runtime_error("merge: cell index " + std::to_string(i) +
-                               " is missing or duplicated");
-    }
-  }
+  SweepJson merged = fold_cell_stream(pooled);
+  merged.distinct_worker_threads = distinct_worker_threads;
+  merged.wall_seconds = wall_seconds;
   return merged;
 }
 
@@ -1094,13 +1061,12 @@ CellStream read_cell_stream(std::istream& in) {
       // are single flushed writes, so only the LAST line can be torn).
       break;
     }
-    const std::string line = text.substr(pos, newline - pos);
+    std::string line = text.substr(pos, newline - pos);
     pos = newline + 1;
     if (line.empty()) {
       continue;
     }
-    std::istringstream line_in(line);
-    JsonParser parser(line_in);
+    JsonParser parser(std::move(line));
     const JsonParser::Value root = parser.parse();
     if (!have_header) {
       stream.header.schema = root.at("schema").as_string();
@@ -1112,10 +1078,8 @@ CellStream read_cell_stream(std::istream& in) {
       stream.header.base_seed = root.at("base_seed").as_u64();
       stream.header.grid_hash = root.at("grid_hash").as_u64();
       const JsonParser::Value& shard = root.at("shard");
-      stream.header.shard_index =
-          static_cast<int>(shard.at("index").as_number());
-      stream.header.shard_count =
-          static_cast<int>(shard.at("count").as_number());
+      stream.header.shard_index = shard.at("index").as_int();
+      stream.header.shard_count = shard.at("count").as_int();
       stream.header.cells_total = shard.at("cells_total").as_u64();
       if (stream.header.shard_count < 1 || stream.header.shard_index < 0 ||
           stream.header.shard_index >= stream.header.shard_count) {
@@ -1125,7 +1089,7 @@ CellStream read_cell_stream(std::istream& in) {
                                  std::to_string(stream.header.shard_count));
       }
       stream.header.deterministic = root.at("deterministic").as_bool();
-      stream.header.threads = static_cast<int>(root.at("threads").as_number());
+      stream.header.threads = root.at("threads").as_int();
       have_header = true;
       continue;
     }
@@ -1155,47 +1119,64 @@ CellStream read_cell_stream(std::istream& in) {
   return stream;
 }
 
-void verify_cell_stream_resumable(const CellStreamHeader& existing,
-                                  const CellStreamHeader& expected) {
-  const auto refuse = [](const char* field, const std::string& stream_has,
-                         const std::string& run_wants) {
-    throw std::runtime_error(
-        std::string("cell stream: ") + field + " mismatch (stream has " +
-        stream_has + ", this run expects " + run_wants +
-        ") — the stream file belongs to a different sweep");
+CellStreamHeader sweep_identity(const SweepJson& document) {
+  CellStreamHeader identity;
+  identity.name = document.name;
+  identity.base_seed = document.base_seed;
+  identity.grid_hash = document.grid_hash;
+  identity.shard_index = document.shard_index;
+  identity.shard_count = document.shard_count;
+  identity.cells_total = document.cells_total;
+  return identity;
+}
+
+std::optional<std::string> sweep_identity_mismatch(
+    const CellStreamHeader& found, const CellStreamHeader& expected) {
+  const auto mismatch = [](const char* field, const std::string& has,
+                           const std::string& wants) {
+    return std::string(field) + " mismatch (found " + has + ", expected " +
+           wants + ")";
   };
-  if (existing.name != expected.name) {
-    refuse("name", "'" + existing.name + "'", "'" + expected.name + "'");
+  const auto shard = [](const CellStreamHeader& header) {
+    return std::to_string(header.shard_index) + "/" +
+           std::to_string(header.shard_count);
+  };
+  if (found.name != expected.name) {
+    return mismatch("name", "'" + found.name + "'", "'" + expected.name + "'");
   }
-  if (existing.base_seed != expected.base_seed) {
-    refuse("base_seed", std::to_string(existing.base_seed),
-           std::to_string(expected.base_seed));
+  if (found.base_seed != expected.base_seed) {
+    return mismatch("base_seed", std::to_string(found.base_seed),
+                    std::to_string(expected.base_seed));
   }
-  if (existing.grid_hash != expected.grid_hash) {
-    refuse("grid_hash", std::to_string(existing.grid_hash),
-           std::to_string(expected.grid_hash));
+  if (found.grid_hash != expected.grid_hash) {
+    return mismatch("grid_hash", std::to_string(found.grid_hash),
+                    std::to_string(expected.grid_hash));
   }
-  if (existing.shard_index != expected.shard_index ||
-      existing.shard_count != expected.shard_count) {
-    refuse("shard",
-           std::to_string(existing.shard_index) + "/" +
-               std::to_string(existing.shard_count),
-           std::to_string(expected.shard_index) + "/" +
-               std::to_string(expected.shard_count));
+  if (found.shard_index != expected.shard_index ||
+      found.shard_count != expected.shard_count) {
+    return mismatch("shard", shard(found), shard(expected));
   }
-  if (existing.cells_total != expected.cells_total) {
-    refuse("cells_total", std::to_string(existing.cells_total),
-           std::to_string(expected.cells_total));
+  if (found.cells_total != expected.cells_total) {
+    return mismatch("cells_total", std::to_string(found.cells_total),
+                    std::to_string(expected.cells_total));
   }
-  if (existing.deterministic != expected.deterministic) {
+  if (found.deterministic != expected.deterministic) {
     // Mixing zeroed and real wall clocks in one folded document would
     // silently break the bit-reproducibility contract.
-    refuse("deterministic", existing.deterministic ? "true" : "false",
-           expected.deterministic ? "true" : "false");
+    return mismatch("deterministic", found.deterministic ? "true" : "false",
+                    expected.deterministic ? "true" : "false");
   }
-  // `threads` is deliberately not compared: seeds and aggregation are
-  // pool-size independent, so a resume on different hardware is fine (the
-  // fold keeps the original run's thread count).
+  return std::nullopt;
+}
+
+void verify_cell_stream_resumable(const CellStreamHeader& found,
+                                  const CellStreamHeader& expected,
+                                  std::string_view context) {
+  if (const std::optional<std::string> mismatch =
+          sweep_identity_mismatch(found, expected)) {
+    throw std::runtime_error(std::string(context) + ": " + *mismatch +
+                             " — not the same sweep");
+  }
 }
 
 SweepJson fold_cell_stream(const CellStream& stream) {
@@ -1228,18 +1209,25 @@ SweepJson fold_cell_stream(const CellStream& stream) {
         static_cast<std::uint64_t>(header.shard_index)) {
       continue;
     }
+    if (at < document.cells.size() && document.cells[at].index < i) {
+      throw std::runtime_error(
+          "fold: cell " + std::to_string(document.cells[at].index) +
+          " is recorded twice or lies outside shard " +
+          std::to_string(header.shard_index) + "/" +
+          std::to_string(header.shard_count));
+    }
     if (at >= document.cells.size() || document.cells[at].index != i) {
       throw std::runtime_error(
-          "cell stream: cell " + std::to_string(i) +
-          " has no record yet — resume the run to complete the stream "
-          "before folding it");
+          "fold: cell " + std::to_string(i) +
+          " has no record yet — resume the run to complete it before "
+          "folding");
     }
     document.wall_seconds += document.cells[at].wall_seconds;
     ++at;
   }
   if (at != document.cells.size()) {
     throw std::runtime_error(
-        "cell stream: carries more records than the grid has cells");
+        "fold: carries more records than the shard has cells");
   }
   return document;
 }

@@ -231,6 +231,11 @@ TEST_F(CellCacheTest, RejectsCorruptTruncatedAndMiskeyedEntries) {
   expect_rejected(good.substr(0, good.size() / 2));   // torn write
   expect_rejected("not json at all\n{}\n");           // unparseable header
   expect_rejected("");                                // empty file
+  // A header run count that is not a non-negative int: null (NaN as a
+  // double), a fraction, an overflowing exponent or a sign.
+  for (const char* bad : {"null", "2.5", "1e300", "-1"}) {
+    expect_rejected(test::with_json_value(good, "runs", bad));
+  }
   // A record stored under a DIFFERENT key (a renamed file, say) fails
   // identity validation even though both lines parse.
   const CellCacheKey other = make_cell_cache_key(cheap_config(), 43, true);
@@ -281,15 +286,22 @@ TEST_F(CellCacheTest, ReadOnlyCacheNeverWrites) {
 TEST_F(CellCacheTest, ConcurrentWritersOfOneKeyAreSafe) {
   // The sweep engine stores from its workers; two processes may also race
   // on one key. Both write the same canonical bytes through unique tmp
-  // files + atomic rename, so the surviving entry is always whole.
+  // files + atomic rename, so the surviving entry is always whole. The
+  // writers alternate between two CellCache instances over ONE directory
+  // (a second instance in the same process): the tmp-name counter is
+  // process-wide, so the instances never share a tmp file either.
   CellCache cache(dir_);
+  CellCache twin(dir_);
   const CellCacheKey key = make_cell_cache_key(cheap_config(), 42, true);
   const SweepJsonCell record = record_for(key);
   std::vector<std::thread> writers;
   for (int i = 0; i < 8; ++i) {
-    writers.emplace_back([&cache, &key, &record] {
-      for (int j = 0; j < 25; ++j) {
-        (void)cache.store(key, record);
+    CellCache& writer = i % 2 == 0 ? cache : twin;
+    writers.emplace_back([&writer, &twin, &key, &record] {
+      for (int j = 0; j < 200; ++j) {
+        (void)writer.store(key, record);
+        // Readers racing the writers must only ever see whole entries.
+        (void)twin.lookup(key);
       }
     });
   }
@@ -297,6 +309,8 @@ TEST_F(CellCacheTest, ConcurrentWritersOfOneKeyAreSafe) {
     t.join();
   }
   EXPECT_EQ(cache.stats().store_failures, 0u);
+  EXPECT_EQ(twin.stats().store_failures, 0u);
+  EXPECT_EQ(twin.stats().rejected, 0u);
   const auto hit = cache.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(cell_text(*hit), cell_text(record));

@@ -68,6 +68,39 @@ CellStreamHeader header_for(const std::vector<SweepCell>& cells,
   return header;
 }
 
+Scenario tiny_scenario() {
+  Scenario scenario;
+  scenario.name = "cell_stream_test";
+  scenario.reference = "test fixture";
+  scenario.summary = "five cheap cells";
+  scenario.default_runs = 2;
+  scenario.default_seed = 77;
+  scenario.make_cells = [](const ScenarioOptions&) { return five_cells(); };
+  scenario.report = [](std::ostream&, const SweepJson&,
+                       const ScenarioOptions&) { return 0; };
+  return scenario;
+}
+
+/// The manifest a 2-worker fleet over the five-cell fixture would write.
+ShardMapManifest fleet_manifest() {
+  ShardMapManifest manifest;
+  manifest.sweep = header_for(five_cells(), deterministic_options());
+  manifest.sweep.threads = 2;  // folds like an unsharded --threads 2 run
+  manifest.workers = 2;
+  manifest.worker_threads = 1;
+  return manifest;
+}
+
+/// A fleet worker's stream: full-grid shard, the worker's own pool size.
+CellStream worker_stream(const ShardMapManifest& manifest,
+                         std::vector<SweepJsonCell> cells) {
+  CellStream stream;
+  stream.header = manifest.sweep;
+  stream.header.threads = manifest.worker_threads;
+  stream.cells = std::move(cells);
+  return stream;
+}
+
 std::string to_text(const SweepJson& document) {
   std::ostringstream out;
   write_sweep_json(out, document);
@@ -181,57 +214,123 @@ TEST(CellStreamTest, RejectsMalformedStreams) {
         (void)parse_text(stream_text(sharded, {reference.cells[1]})),
         std::runtime_error);
   }
+  // Int fields take non-negative integers in int range only: null (NaN
+  // as a double), a fraction, an overflowing exponent or a sign is
+  // malformed — never a truncating or undefined cast.
+  const std::string good = stream_text(header, {reference.cells[0]});
+  ASSERT_NO_THROW((void)parse_text(good));
+  for (const std::string bad : {"null", "2.5", "1e300", "-1"}) {
+    for (const char* key : {"threads", "count", "runs"}) {
+      EXPECT_THROW((void)parse_text(test::with_json_value(good, key, bad)),
+                   std::runtime_error)
+          << key << ": " << bad;
+    }
+  }
+}
+
+/// Runs `consumer` and requires it to refuse with a std::runtime_error
+/// whose message names `field`.
+template <typename Consumer>
+void expect_refused(const char* who, const std::string& field,
+                    Consumer&& consumer) {
+  try {
+    consumer();
+    ADD_FAILURE() << who << " accepted a changed " << field;
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+        << who << ": " << error.what();
+  }
 }
 
 TEST(CellStreamTest, VerifyResumableComparesEveryIdentityField) {
+  // ONE identity table against every consumer of the one identity check:
+  // each field, changed alone, must be refused by the --stream resume,
+  // merge_worker_streams, merge_sweep_shards (for the fields a document
+  // carries) and the fleet worker's manifest check (for the fields a
+  // manifest carries), each naming the field.
+  struct Field {
+    const char* name;
+    void (*change)(CellStreamHeader&);
+    void (*change_document)(SweepJson&);  ///< nullptr: not in documents
+    bool in_manifest;
+  };
+  const Field fields[] = {
+      {"name", [](CellStreamHeader& h) { h.name = "other_bench"; },
+       [](SweepJson& d) { d.name = "other_bench"; }, true},
+      {"base_seed", [](CellStreamHeader& h) { h.base_seed ^= 1; },
+       [](SweepJson& d) { d.base_seed ^= 1; }, true},
+      {"grid_hash", [](CellStreamHeader& h) { h.grid_hash ^= 1; },
+       [](SweepJson& d) { d.grid_hash ^= 1; }, true},
+      {"shard", [](CellStreamHeader& h) { h.shard_count += 1; },
+       [](SweepJson& d) { d.shard_count += 1; }, false},
+      {"cells_total", [](CellStreamHeader& h) { h.cells_total += 1; },
+       [](SweepJson& d) { d.cells_total += 1; }, true},
+      // The other --deterministic setting would fold zeroed and real
+      // wall clocks into one document.
+      {"deterministic",
+       [](CellStreamHeader& h) { h.deterministic = !h.deterministic; },
+       nullptr, true},
+  };
+
   const auto cells = five_cells();
   const CellStreamHeader expected = header_for(cells, deterministic_options());
+  const SweepJson reference = reference_document(cells);
+  const std::vector<SweepJson> shards = {
+      to_sweep_json(run_sweep(cells, deterministic_options(0, 2)),
+                    "cell_stream_test"),
+      to_sweep_json(run_sweep(cells, deterministic_options(1, 2)),
+                    "cell_stream_test"),
+  };
+  const ShardMapManifest manifest = fleet_manifest();
+
+  // The unchanged identity passes every consumer, and so does a different
+  // pool size: results never depend on it, and the fold keeps the
+  // original run's thread count.
   EXPECT_NO_THROW(verify_cell_stream_resumable(expected, expected));
   {
-    CellStreamHeader renamed = expected;
-    renamed.name = "other_bench";
-    EXPECT_THROW(verify_cell_stream_resumable(renamed, expected),
-                 std::runtime_error);
-  }
-  {
-    CellStreamHeader reseeded = expected;
-    reseeded.base_seed ^= 1;
-    EXPECT_THROW(verify_cell_stream_resumable(reseeded, expected),
-                 std::runtime_error);
-  }
-  {
-    CellStreamHeader regridded = expected;
-    regridded.grid_hash ^= 1;
-    EXPECT_THROW(verify_cell_stream_resumable(regridded, expected),
-                 std::runtime_error);
-  }
-  {
-    CellStreamHeader resharded = expected;
-    resharded.shard_count = 2;
-    EXPECT_THROW(verify_cell_stream_resumable(resharded, expected),
-                 std::runtime_error);
-  }
-  {
-    CellStreamHeader resized = expected;
-    resized.cells_total += 1;
-    EXPECT_THROW(verify_cell_stream_resumable(resized, expected),
-                 std::runtime_error);
-  }
-  {
-    // A stream started with the other --deterministic setting would fold
-    // zeroed and real wall clocks into one document; refuse it.
-    CellStreamHeader retimed = expected;
-    retimed.deterministic = !expected.deterministic;
-    EXPECT_THROW(verify_cell_stream_resumable(retimed, expected),
-                 std::runtime_error);
-  }
-  {
-    // A different pool size is NOT a mismatch: results never depend on
-    // it, and the fold keeps the original run's thread count.
     CellStreamHeader rethreaded = expected;
     rethreaded.threads = expected.threads + 6;
     EXPECT_NO_THROW(verify_cell_stream_resumable(rethreaded, expected));
   }
+  EXPECT_NO_THROW((void)merge_sweep_shards(shards));
+  EXPECT_NO_THROW((void)merge_worker_streams(
+      manifest, {worker_stream(manifest, reference.cells)}));
+
+  const std::string fleet_dir =
+      ::testing::TempDir() + "cell_stream_identity_fleet";
+  for (const Field& field : fields) {
+    CellStreamHeader changed = expected;
+    field.change(changed);
+    expect_refused("stream resume", field.name, [&] {
+      verify_cell_stream_resumable(changed, expected);
+    });
+    expect_refused("merge_worker_streams", field.name, [&] {
+      CellStream stream = worker_stream(manifest, reference.cells);
+      field.change(stream.header);
+      (void)merge_worker_streams(manifest, {stream});
+    });
+    if (field.change_document != nullptr) {
+      expect_refused("merge_sweep_shards", field.name, [&] {
+        std::vector<SweepJson> changed_shards = shards;
+        field.change_document(changed_shards[1]);
+        (void)merge_sweep_shards(std::move(changed_shards));
+      });
+    }
+    if (field.in_manifest) {
+      std::filesystem::remove_all(fleet_dir);
+      ShardMapManifest foreign = manifest;
+      field.change(foreign.sweep);
+      write_shardmap_manifest(fleet_dir, foreign);
+      FleetWorkerOptions worker;
+      worker.directory = fleet_dir;
+      worker.worker = "w0";
+      worker.deterministic = true;
+      expect_refused("fleet worker", field.name, [&] {
+        (void)run_fleet_worker(tiny_scenario(), ScenarioOptions{}, worker);
+      });
+    }
+  }
+  std::filesystem::remove_all(fleet_dir);
 }
 
 TEST(CellStreamTest, FoldRefusesAPartialStream) {
@@ -346,38 +445,6 @@ TEST(CellStreamTest, AFailedRecordWriteOfACacheHitThrows) {
 // Fleet worker streams (cross-process stream handoff)
 // ---------------------------------------------------------------------------
 
-/// The manifest a 2-worker fleet over the five-cell fixture would write.
-ShardMapManifest fleet_manifest() {
-  const auto cells = five_cells();
-  ShardMapManifest manifest;
-  manifest.name = "cell_stream_test";
-  manifest.base_seed = 77;
-  manifest.grid_hash = hash_sweep_grid(cells);
-  manifest.cells_total = cells.size();
-  manifest.deterministic = true;
-  manifest.workers = 2;
-  manifest.worker_threads = 1;
-  manifest.threads_total = 2;  // folds like an unsharded --threads 2 run
-  return manifest;
-}
-
-/// A fleet worker's stream: full-grid shard, the worker's own pool size.
-CellStream worker_stream(const ShardMapManifest& manifest,
-                         std::vector<SweepJsonCell> cells) {
-  CellStream stream;
-  stream.header.schema = "slpdas.cell.v1";
-  stream.header.name = manifest.name;
-  stream.header.base_seed = manifest.base_seed;
-  stream.header.grid_hash = manifest.grid_hash;
-  stream.header.shard_index = 0;
-  stream.header.shard_count = 1;
-  stream.header.cells_total = manifest.cells_total;
-  stream.header.deterministic = manifest.deterministic;
-  stream.header.threads = manifest.worker_threads;
-  stream.cells = std::move(cells);
-  return stream;
-}
-
 TEST(CellStreamTest, MergeWorkerStreamsIsBitIdenticalToAnUnshardedRun) {
   // The work-stealing partition is arbitrary and completion order within
   // a worker is too — merge must reproduce the unsharded document from
@@ -456,19 +523,6 @@ TEST(CellStreamTest, MergeWorkerStreamsRejectsAForeignStream) {
 // ---------------------------------------------------------------------------
 // Kill-and-resume through run_scenario
 // ---------------------------------------------------------------------------
-
-Scenario tiny_scenario() {
-  Scenario scenario;
-  scenario.name = "cell_stream_test";
-  scenario.reference = "test fixture";
-  scenario.summary = "five cheap cells";
-  scenario.default_runs = 2;
-  scenario.default_seed = 77;
-  scenario.make_cells = [](const ScenarioOptions&) { return five_cells(); };
-  scenario.report = [](std::ostream&, const SweepJson&,
-                       const ScenarioOptions&) { return 0; };
-  return scenario;
-}
 
 ScenarioExecution streamed_execution(const std::string& path) {
   ScenarioExecution execution;

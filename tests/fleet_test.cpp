@@ -83,14 +83,14 @@ std::string reference_text() {
 ShardMapManifest fixture_manifest(int workers, int worker_threads) {
   const auto cells = five_cells();
   ShardMapManifest manifest;
-  manifest.name = "fleet_test";
-  manifest.base_seed = 77;
-  manifest.grid_hash = hash_sweep_grid(cells);
-  manifest.cells_total = cells.size();
-  manifest.deterministic = true;
+  manifest.sweep.name = "fleet_test";
+  manifest.sweep.base_seed = 77;
+  manifest.sweep.grid_hash = hash_sweep_grid(cells);
+  manifest.sweep.cells_total = cells.size();
+  manifest.sweep.deterministic = true;
+  manifest.sweep.threads = workers * worker_threads;
   manifest.workers = workers;
   manifest.worker_threads = worker_threads;
-  manifest.threads_total = workers * worker_threads;
   return manifest;
 }
 
@@ -124,24 +124,34 @@ class FleetTest : public ::testing::Test {
 
 TEST(ShardMapRecordTest, AllRecordKindsRoundTrip) {
   ShardMapManifest manifest;
-  manifest.name = "fleet \"quoted\" name";
-  manifest.base_seed = 77;
-  manifest.grid_hash = 0xdeadbeefULL;
-  manifest.cells_total = 5;
-  manifest.deterministic = true;
+  manifest.sweep.name = "fleet \"quoted\" name";
+  manifest.sweep.base_seed = 77;
+  manifest.sweep.grid_hash = 0xdeadbeefULL;
+  manifest.sweep.cells_total = 5;
+  manifest.sweep.deterministic = true;
+  manifest.sweep.threads = 8;
   manifest.workers = 4;
   manifest.worker_threads = 2;
-  manifest.threads_total = 8;
+  // The "slpdas.shardmap.v1" bytes are pinned: the manifest's in-memory
+  // shape may change, its on-disk form may not.
+  EXPECT_EQ(format_shardmap_manifest(manifest),
+            "{\"schema\": \"slpdas.shardmap.v1\", \"type\": \"manifest\", "
+            "\"name\": \"fleet \\\"quoted\\\" name\", \"base_seed\": 77, "
+            "\"grid_hash\": 3735928559, \"cells_total\": 5, "
+            "\"deterministic\": true, \"workers\": 4, \"worker_threads\": 2, "
+            "\"threads_total\": 8}");
   const ShardMapManifest manifest2 =
       parse_shardmap_manifest(format_shardmap_manifest(manifest));
-  EXPECT_EQ(manifest2.name, manifest.name);
-  EXPECT_EQ(manifest2.base_seed, manifest.base_seed);
-  EXPECT_EQ(manifest2.grid_hash, manifest.grid_hash);
-  EXPECT_EQ(manifest2.cells_total, manifest.cells_total);
-  EXPECT_EQ(manifest2.deterministic, manifest.deterministic);
+  EXPECT_EQ(manifest2.sweep.name, manifest.sweep.name);
+  EXPECT_EQ(manifest2.sweep.base_seed, manifest.sweep.base_seed);
+  EXPECT_EQ(manifest2.sweep.grid_hash, manifest.sweep.grid_hash);
+  EXPECT_EQ(manifest2.sweep.cells_total, manifest.sweep.cells_total);
+  EXPECT_EQ(manifest2.sweep.deterministic, manifest.sweep.deterministic);
+  EXPECT_EQ(manifest2.sweep.threads, manifest.sweep.threads);
+  EXPECT_EQ(manifest2.sweep.shard_index, 0);
+  EXPECT_EQ(manifest2.sweep.shard_count, 1);
   EXPECT_EQ(manifest2.workers, manifest.workers);
   EXPECT_EQ(manifest2.worker_threads, manifest.worker_threads);
-  EXPECT_EQ(manifest2.threads_total, manifest.threads_total);
 
   const ShardMapClaim claim2 =
       parse_shardmap_claim(format_shardmap_claim({3, "w0", 1234}));
@@ -254,9 +264,9 @@ TEST_F(FleetTest, ManifestFileRoundTripsAndMarksAFleetDirectory) {
   EXPECT_TRUE(is_fleet_directory(dir_));
   const std::optional<ShardMapManifest> read = read_shardmap_manifest(dir_);
   ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read->name, manifest.name);
-  EXPECT_EQ(read->grid_hash, manifest.grid_hash);
-  EXPECT_EQ(read->threads_total, manifest.threads_total);
+  EXPECT_EQ(read->sweep.name, manifest.sweep.name);
+  EXPECT_EQ(read->sweep.grid_hash, manifest.sweep.grid_hash);
+  EXPECT_EQ(read->sweep.threads, manifest.sweep.threads);
 }
 
 // ---------------------------------------------------------------------------
@@ -279,7 +289,7 @@ TEST_F(FleetTest, LoneWorkerComputesEveryCellByteIdentically) {
 
 TEST_F(FleetTest, WorkerRefusesAManifestForADifferentSweep) {
   ShardMapManifest manifest = fixture_manifest(1, 2);
-  manifest.grid_hash ^= 1;  // a different grid expansion
+  manifest.sweep.grid_hash ^= 1;  // a different grid expansion
   write_shardmap_manifest(dir_, manifest);
   const Scenario scenario = fleet_scenario();
   EXPECT_THROW((void)run_fleet_worker(scenario, ScenarioOptions{},
@@ -398,14 +408,7 @@ TEST_F(FleetTest, SigkilledWorkerIsReassignedAndTheFoldStaysByteIdentical) {
       }
       std::ofstream stream(dir + "/streams/" + request.worker + ".jsonl",
                            std::ios::binary);
-      CellStreamHeader header;
-      header.name = manifest->name;
-      header.base_seed = manifest->base_seed;
-      header.grid_hash = manifest->grid_hash;
-      header.shard_index = 0;
-      header.shard_count = 1;
-      header.cells_total = manifest->cells_total;
-      header.deterministic = manifest->deterministic;
+      CellStreamHeader header = manifest->sweep;
       header.threads = 2;
       write_cell_stream_header(stream, header);
       stream << "{\"index\": 0, \"label\": \"cell=0\", \"coordi";
@@ -487,7 +490,7 @@ TEST_F(FleetTest, ResumingACompletedFleetFoldsWithoutSpawningAnyWorker) {
 
 TEST_F(FleetTest, RefusesToResumeADirectoryHoldingADifferentSweep) {
   ShardMapManifest manifest = fixture_manifest(1, 2);
-  manifest.base_seed = 78;  // same scenario, different seed
+  manifest.sweep.base_seed = 78;  // same scenario, different seed
   write_shardmap_manifest(dir_, manifest);
   const Scenario scenario = fleet_scenario();
   FleetOptions options = coordinator_options(dir_, nullptr);

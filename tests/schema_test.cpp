@@ -201,14 +201,14 @@ TEST(SchemaShardMapTest, EveryRecordKindValidatesAgainstItsDefinition) {
   // kind — the same fragments CI applies to a real fleet directory via
   // validate.py.
   ShardMapManifest manifest;
-  manifest.name = "schema_smoke";
-  manifest.base_seed = 7;
-  manifest.grid_hash = 12345;
-  manifest.cells_total = 5;
-  manifest.deterministic = true;
+  manifest.sweep.name = "schema_smoke";
+  manifest.sweep.base_seed = 7;
+  manifest.sweep.grid_hash = 12345;
+  manifest.sweep.cells_total = 5;
+  manifest.sweep.deterministic = true;
+  manifest.sweep.threads = 8;
   manifest.workers = 4;
   manifest.worker_threads = 2;
-  manifest.threads_total = 8;
   ShardMapError cell_error;
   cell_error.cell = 3;
   cell_error.worker = "w1";

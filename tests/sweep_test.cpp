@@ -363,6 +363,30 @@ TEST(SweepJsonTest, RejectsMalformedAndUnknownSchema) {
         "\"wall_seconds\": 1-2, \"cells\": []}");
     EXPECT_THROW((void)read_sweep_json(stream), std::runtime_error);
   }
+  {
+    // Int fields take non-negative integers in int range only: null (NaN
+    // as a double), a fraction, an overflowing exponent or a sign is
+    // malformed — never a truncating or undefined cast. Covers the
+    // document's own ints and a cell's.
+    SweepResult sweep;
+    sweep.cells.resize(1);
+    sweep.cells[0].label = "only";
+    sweep.cells[0].runs = 3;
+    std::stringstream written;
+    write_sweep_json(written, sweep, "ints");
+    const std::string good = written.str();
+    std::stringstream good_stream(good);
+    ASSERT_NO_THROW((void)read_sweep_json(good_stream));
+    for (const char* bad : {"null", "2.5", "1e300", "-1"}) {
+      for (const char* key :
+           {"threads", "distinct_worker_threads", "count", "runs",
+            "schedule_incomplete_runs", "weak_das_failures"}) {
+        std::stringstream stream(test::with_json_value(good, key, bad));
+        EXPECT_THROW((void)read_sweep_json(stream), std::runtime_error)
+            << key << ": " << bad;
+      }
+    }
+  }
 }
 
 /// Minimal parseable v1 document with `name` spliced in verbatim, for

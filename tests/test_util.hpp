@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "slpdas/core/parameters.hpp"
 #include "slpdas/core/run_batch.hpp"
@@ -96,6 +98,20 @@ inline core::RunResult run_seed(const core::ExperimentConfig& config,
   const wsn::Topology topology = config.topology.build();
   const core::RunBatch batch(config, topology);
   return core::RunBatch::Fork(batch).run(seed);
+}
+
+/// `text` with the value of the first `"key": ` replaced by `value`
+/// verbatim (the old value runs to the next ',' or '}'): how reader tests
+/// splice malformed numbers into otherwise valid serialised records.
+inline std::string with_json_value(std::string text, const std::string& key,
+                                   const std::string& value) {
+  const std::string needle = "\"" + key + "\": ";
+  const std::size_t at = text.find(needle);
+  if (at == std::string::npos) {
+    throw std::logic_error("with_json_value: no key '" + key + "'");
+  }
+  const std::size_t from = at + needle.size();
+  return text.replace(from, text.find_first_of(",}", from) - from, value);
 }
 
 }  // namespace slpdas::test
