@@ -4,9 +4,7 @@
 // distribution mimics the protocol mix: mostly slot/propagation-scale
 // pushes (the active-bucket fast path), a dissemination band near 0.5 s,
 // and a rare source-period tail at 5.5 s that exercises bucket refills
-// and the far overflow. The forced-heap backend runs the same workload,
-// so `queue_hold/calendar/N` vs `queue_hold/heap/N` is a direct A/B of
-// the calendar structure at occupancy N.
+// and the far overflow.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -35,9 +33,9 @@ SimTime draw_delay(Rng& rng) {
   return 5'500'000;
 }
 
-void hold_model(benchmark::State& state, EventQueue::Backend backend) {
+void queue_hold_calendar(benchmark::State& state) {
   const auto occupancy = static_cast<std::size_t>(state.range(0));
-  EventQueue queue(backend);
+  EventQueue queue;
   queue.reserve(occupancy, 0);
   Rng rng(0xb5db5d);
   SimTime now = 0;
@@ -53,15 +51,6 @@ void hold_model(benchmark::State& state, EventQueue::Backend backend) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-void queue_hold_calendar(benchmark::State& state) {
-  hold_model(state, EventQueue::Backend::kCalendar);
-}
-
-void queue_hold_heap(benchmark::State& state) {
-  hold_model(state, EventQueue::Backend::kHeap);
-}
-
 BENCHMARK(queue_hold_calendar)->RangeMultiplier(8)->Range(64, 32768);
-BENCHMARK(queue_hold_heap)->RangeMultiplier(8)->Range(64, 32768);
 
 }  // namespace

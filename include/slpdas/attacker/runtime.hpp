@@ -5,7 +5,7 @@
 // hear any transmission by the co-located node or a 1-hop neighbour of its
 // location, subject to the same radio model as everyone else — and moves
 // per its (R, H, M, s0, D) parameters. Only data-phase messages (type
-// name "NORMAL" by default) are traced — Section VI-C: the attacker
+// name "NORMAL") are traced — Section VI-C: the attacker
 // reacts to the source's traffic pattern, not to setup control traffic.
 // The runtime is protocol-agnostic: it traces by message-type name, so the
 // same eavesdropper hunts TDMA DAS traffic and phantom-routing traffic.
@@ -13,7 +13,6 @@
 
 #include <deque>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "slpdas/attacker/model.hpp"
@@ -37,18 +36,15 @@ class AttackerRuntime final : public sim::TransmissionObserver {
 
   /// Rewinds every per-run field to its just-constructed value so the same
   /// runtime instance (still registered as an observer) can serve the next
-  /// seed of a batched cell. Configuration (params, frame, traced type,
-  /// stop-on-capture) persists; the shipped decision functions are
-  /// stateless, so nothing inside D needs rewinding.
+  /// seed of a batched cell. Configuration (params, frame, stop-on-capture)
+  /// persists; the shipped decision functions are stateless, so nothing
+  /// inside D needs rewinding.
   void reset_run();
 
   /// Whether capturing the source halts the simulation (default true; the
   /// capture-ratio experiments need nothing after a capture). Disable to
   /// keep collecting delivery metrics for the full safety period.
   void set_stop_on_capture(bool stop) noexcept { stop_on_capture_ = stop; }
-
-  /// Message-type name the eavesdropper traces (default "NORMAL").
-  void set_traced_type(std::string type) { traced_type_ = std::move(type); }
 
   [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] wsn::NodeId location() const noexcept { return location_; }
@@ -99,7 +95,6 @@ class AttackerRuntime final : public sim::TransmissionObserver {
   std::optional<sim::SimTime> captured_;
   std::vector<wsn::NodeId> trail_;
   bool stop_on_capture_ = true;
-  std::string traced_type_ = "NORMAL";
 };
 
 }  // namespace slpdas::attacker

@@ -14,8 +14,8 @@
 //
 // Mapping from the paper's guarded commands to this event-driven process:
 //   dissem::   -> a jittered send inside each period's dissemination window
-//   receiveN:: -> on_dissem() with message.normal == true
-//   receiveU:: -> on_dissem() with update semantics (parent slot repair)
+//   receiveN:: -> handle_dissem() with message.normal == true
+//   receiveU:: -> handle_dissem() with update semantics (parent slot repair)
 //   process::  -> the end-of-dissemination-window timer (parent choice and
 //                 collision resolution run after "receiving all messages")
 #pragma once
@@ -88,7 +88,6 @@ class ProtectionlessDas : public sim::Process {
   [[nodiscard]] bool is_sink() const noexcept { return id() == sink_; }
   [[nodiscard]] bool is_source() const noexcept { return id() == source_; }
   [[nodiscard]] const DasConfig& config() const noexcept { return config_; }
-  [[nodiscard]] int current_period() const noexcept { return period_index_; }
 
   /// Sequence number of the newest source datum this node has aggregated.
   [[nodiscard]] std::uint64_t aggregated_seq() const noexcept {
@@ -161,9 +160,6 @@ class ProtectionlessDas : public sim::Process {
   void request_dissemination() noexcept {
     dissem_budget_ = config_.dissemination_timeout;
   }
-
-  [[nodiscard]] wsn::NodeId sink_node() const noexcept { return sink_; }
-  [[nodiscard]] wsn::NodeId source_node() const noexcept { return source_; }
 
   /// True once the data phase (period >= MSP) has begun.
   [[nodiscard]] bool data_phase() const noexcept {

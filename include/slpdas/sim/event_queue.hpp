@@ -18,53 +18,51 @@
 //     generation; the simulator compares it against its dense per-node
 //     generation table at pop time, so cancelling or re-arming a timer
 //     never allocates and a stale expiry is skipped for free.
-//   * Control{callback_slot}: the rare arbitrary-callback case
-//     (Simulator::call_at) keeps the old std::function flexibility; the
-//     callable lives in a slot table beside the queue.
 //
-// Ordering structure: a two-level calendar queue instead of the previous
-// 4-ary heap. The simulator's event mix is dominated by short horizons
-// (propagation delay ~1 ms, slot period 50 ms), so events are binned by
-// time into fixed-width buckets (kBucketWidth = 4096 µs, one arithmetic
-// shift) and only the bucket currently being drained is kept sorted:
+// Ordering structure: a calendar queue. The simulator's event mix is
+// dominated by short horizons (propagation delay ~1 ms, slot period
+// 50 ms), so events are binned by time into fixed-width buckets
+// (kBucketWidth = 4096 µs, one arithmetic shift) and only the bucket
+// currently being drained is kept ordered:
 //
-//   * `near_` — every pending event whose bucket is <= the active bucket,
-//     kept sorted ascending by (timestamp, sequence); pops read the next
-//     entry through a consumed-prefix cursor, O(1). A push whose
-//     timestamp lands at or past the end of `near_` (the overwhelmingly
-//     common case: arrival = now + propagation delay) appends in O(1);
-//     anything earlier binary-searches its slot and shifts the tail
-//     (trivially-copyable 32-byte moves).
+//   * `near_` — the active bucket's events, sorted ascending by
+//     (timestamp, sequence); pops read the next entry through a
+//     consumed-prefix cursor, O(1). A push into the active bucket at or
+//     past the window's tail (the overwhelmingly common case: arrival =
+//     now + propagation delay) appends in O(1).
+//   * `late_` — a small 4-ary min-heap for the remaining active-bucket
+//     pushes, the ones that land behind the window's tail. pop and
+//     next_time take the smaller of the window head and the heap top, so
+//     an out-of-order push costs O(log k) in the few events it competes
+//     with instead of a tail shift. Each late event is earlier than the
+//     window's tail, so the heap always drains before the window does.
 //   * `buckets_` — a power-of-two circular array of kNumBuckets unsorted
 //     bins covering the next kNumBuckets * kBucketWidth ≈ 4.2 s of
 //     simulated time past the active bucket; push is an O(1) append plus
-//     one occupancy-bitmap bit. When `near_` drains, the bitmap is
+//     one occupancy-bitmap bit. When the window drains, the bitmap is
 //     scanned (16 words) for the next occupied bin, which is copied into
 //     `near_` and sorted once — O(k log k) amortised over its k events.
 //   * `far_` — the unsorted overflow for events beyond the bucket
-//     horizon (source periods, attacker activation). When the calendar
-//     runs dry the earliest far bucket becomes the new active window and
-//     `far_` is re-partitioned in one pass; a far event is rescanned at
-//     most once per calendar revolution (~4 s of simulated time),
-//     amortised O(1) for every horizon the protocols use.
+//     horizon. When the calendar runs dry the earliest far bucket becomes
+//     the new active window and `far_` is re-partitioned in one pass.
 //
-// Pop order is identical to the heap's: keys (timestamp, sequence) are
-// unique and both structures emit them in strictly ascending key order,
-// so golden document fingerprints do not move. For pathological
-// workloads — horizons so sparse that far_ rescans dominate the real
-// work — the queue detects the wasted motion (scanned-to-pushed ratio)
-// and irreversibly migrates the pending set onto the old 4-ary heap,
-// which is O(log n) regardless of horizon. The trigger depends only on
-// the pushed timestamps, never on wall clock, so a run that degrades
-// does so identically on every machine. Tests and benchmarks can force
-// either backend at construction.
+// Every key (timestamp, sequence) is unique and all three levels emit
+// them in strictly ascending order, so the pop order is that of any
+// exact priority queue and golden document fingerprints do not move.
+//
+// The far list assumes horizons of at most a few calendar revolutions:
+// every timer the protocols arm lies within one source period (5.5 s) of
+// `now`, so a far event is rescanned at most a couple of times. A
+// workload that only the raw API can build — thousands of pending events
+// each a revolution apart — rescans the whole far list once per pop and
+// goes quadratic. No scenario produces it, and the queue has no fallback
+// for it.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -75,7 +73,7 @@
 
 namespace slpdas::sim {
 
-enum class EventKind : std::uint8_t { kDelivery, kTimer, kControl };
+enum class EventKind : std::uint8_t { kDelivery, kTimer };
 
 /// One radio reception: `to` receives the broadcast `from` sent. The
 /// shared payload lives in the queue's message slot table.
@@ -95,43 +93,30 @@ struct TimerEvent {
   std::uint64_t generation;
 };
 
-/// One scheduled arbitrary callback (harness phase changes and the like).
-struct ControlEvent {
-  std::uint32_t callback_slot;
-};
-
-/// A queued event. Trivially copyable by design: bucket refills and tail
-/// shifts are memcpy-grade moves, and pop hands the entry back by value.
-/// The sequence number and kind tag share one word (kind in the low two
-/// bits), so the tie-break comparison is a single integer compare and the
-/// whole entry is 32 bytes.
+/// A queued event. Trivially copyable by design: bucket refills and heap
+/// sifts are memcpy-grade moves, and pop hands the entry back by value.
+/// The sequence number and kind tag share one word (kind in the low bit),
+/// so the tie-break comparison is a single integer compare and the whole
+/// entry is 32 bytes.
 struct Event {
   SimTime at = 0;
-  std::uint64_t seq_kind = 0;  ///< (insertion sequence << 2) | kind
+  std::uint64_t seq_kind = 0;  ///< (insertion sequence << 1) | kind
   union {
     DeliveryEvent delivery;
     TimerEvent timer;
-    ControlEvent control;
   };
 
   [[nodiscard]] EventKind kind() const noexcept {
-    return static_cast<EventKind>(seq_kind & 3u);
+    return static_cast<EventKind>(seq_kind & 1u);
   }
   [[nodiscard]] std::uint64_t sequence() const noexcept {
-    return seq_kind >> 2;
+    return seq_kind >> 1;
   }
 };
 
 class EventQueue {
  public:
-  using Action = std::function<void()>;
-
-  /// Ordering backend. kCalendar is the default and self-degrades to
-  /// kHeap when its amortisation assumptions break; kHeap can be forced
-  /// at construction for tests and A/B benchmarks.
-  enum class Backend : std::uint8_t { kCalendar, kHeap };
-
-  /// "No slot" sentinel for the message/control slot tables.
+  /// "No slot" sentinel for the message slot table.
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// log2 of the bucket width in SimTime ticks (microseconds): 4096 µs.
@@ -144,33 +129,23 @@ class EventQueue {
   /// kNumBuckets << kBucketShift ≈ 4.2 s past the active bucket.
   static constexpr std::size_t kNumBuckets = 1024;
 
-  explicit EventQueue(Backend backend = Backend::kCalendar)
-      : backend_(backend), initial_backend_(backend) {}
-
-  /// The ordering structure currently in use (observability: tests assert
-  /// the pathological-workload degradation fires).
-  [[nodiscard]] Backend backend() const noexcept { return backend_; }
-
   /// Pre-sizes internal storage for a simulation expected to keep up to
   /// `pending_events` events in flight with up to `staged_messages`
   /// concurrently staged broadcast payloads, so steady-state operation
   /// reaches its high-water capacity up front instead of reallocating
   /// mid-run. Callable any time; never shrinks.
   void reserve(std::size_t pending_events, std::size_t staged_messages) {
-    if (backend_ == Backend::kHeap) {
-      heap_.reserve(pending_events);
-    } else {
-      near_.reserve(pending_events);
-      far_.reserve(pending_events);
-      // Every bin gets a floor capacity: the periodic-timer trickle that
-      // cycles through all bins each calendar revolution then never
-      // triggers a first-touch allocation. Burst bins (whole-network
-      // slot broadcasts) grow once to their own high water and stay.
-      const std::size_t per_bucket =
-          std::max<std::size_t>(8, pending_events / 64);
-      for (auto& bucket : buckets_) {
-        bucket.reserve(per_bucket);
-      }
+    near_.reserve(pending_events);
+    late_.reserve(pending_events);
+    far_.reserve(pending_events);
+    // Every bin gets a floor capacity: the periodic-timer trickle that
+    // cycles through all bins each calendar revolution then never
+    // triggers a first-touch allocation. Burst bins (whole-network slot
+    // broadcasts) grow once to their own high water and stay.
+    const std::size_t per_bucket =
+        std::max<std::size_t>(8, pending_events / 64);
+    for (auto& bucket : buckets_) {
+      bucket.reserve(per_bucket);
     }
     messages_.reserve(staged_messages);
     free_messages_.reserve(staged_messages);
@@ -181,8 +156,8 @@ class EventQueue {
   /// Stages a broadcast payload in the slot table with zero references and
   /// returns its slot. Each push_delivery for the slot adds a reference;
   /// each release_message drops one, and the last drop frees the slot. A
-  /// staged slot with no deliveries pushed stays live until clear() frees
-  /// it — callers avoid even that by staging lazily, on the first
+  /// staged slot with no deliveries pushed stays live until reset_run()
+  /// frees it — callers avoid even that by staging lazily, on the first
   /// delivered receiver.
   [[nodiscard]] std::uint32_t stage_message(MessagePtr message) {
     if (!message) {
@@ -230,7 +205,7 @@ class EventQueue {
   /// Enqueues one reception of the payload staged in `message_slot`.
   /// `at` may equal the current head time but must never be in the past
   /// relative to the last popped event; the Simulator enforces that
-  /// invariant (here and for the other push flavours).
+  /// invariant (here and for timers).
   void push_delivery(SimTime at, wsn::NodeId from, wsn::NodeId to,
                      std::uint32_t message_slot) {
     ++messages_[message_slot].references;
@@ -251,159 +226,63 @@ class EventQueue {
     push_event(event);
   }
 
-  /// Enqueues an arbitrary callback. The one push flavour that may
-  /// allocate (the callable's closure) — deliberately kept off the
-  /// delivery/timer hot path.
-  void push_control(SimTime at, Action action) {
-    if (!action) {
-      throw std::invalid_argument("EventQueue::push_control: null action");
-    }
-    std::uint32_t slot;
-    if (free_controls_.empty()) {
-      slot = static_cast<std::uint32_t>(controls_.size());
-      controls_.emplace_back();
-    } else {
-      slot = free_controls_.back();
-      free_controls_.pop_back();
-    }
-    controls_[slot] = std::move(action);
-    Event event;
-    event.at = at;
-    event.seq_kind = next_seq_kind(EventKind::kControl);
-    event.control = ControlEvent{slot};
-    push_event(event);
-  }
-
-  /// Moves the callback of a popped Control event out of its slot and
-  /// recycles the slot.
-  [[nodiscard]] Action take_control(std::uint32_t slot) {
-    Action action = std::move(controls_[slot]);
-    controls_[slot] = nullptr;
-    free_controls_.push_back(slot);
-    return action;
-  }
-
   // -- popping --------------------------------------------------------------
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// Timestamp of the next event; undefined when empty. O(1) on both
-  /// backends: refill() re-establishes a non-empty sorted window after
-  /// every pop, so the calendar's head is always materialised.
+  /// Timestamp of the next event; undefined when empty. O(1): refill()
+  /// re-establishes a non-empty window after every pop that drains it,
+  /// so the head is always materialised.
   [[nodiscard]] SimTime next_time() const {
-    return backend_ == Backend::kCalendar ? near_[near_pos_].at
-                                          : heap_.front().at;
+    if (late_.empty()) {
+      return near_[near_pos_].at;
+    }
+    return std::min(near_[near_pos_].at, late_.front().at);
   }
 
   /// Removes and returns the next event by value, advancing `now` to its
   /// timestamp. Delivery events still hold their message reference (the
-  /// caller releases it after dispatch); Control events still own their
-  /// callback slot (the caller takes it).
+  /// caller releases it after dispatch).
   [[nodiscard]] Event pop(SimTime& now) {
     --size_;
-    if (backend_ == Backend::kCalendar) {
-      const Event top = near_[near_pos_++];
-      now = top.at;
-      if (near_pos_ == near_.size() && size_ != 0) {
-        refill();
-      }
-      return top;
+    Event top;
+    if (late_.empty() || priority(near_[near_pos_]) < priority(late_.front())) {
+      top = near_[near_pos_++];
+    } else {
+      top = pop_late();
     }
-    return pop_heap_event(now);
-  }
-
-  /// Drops every pending event and releases the resources they hold:
-  /// message references (freeing payloads whose last reference was
-  /// queued), staged-but-never-pushed payloads, and control callbacks.
-  /// Slots of deliveries popped but not yet released stay live — they
-  /// belong to the caller until release_message.
-  void clear() {
-    for (std::size_t i = near_pos_; i < near_.size(); ++i) {
-      release_event_resources(near_[i]);
+    now = top.at;
+    if (near_pos_ == near_.size() && size_ != 0) {
+      refill();
     }
-    for (auto& bucket : buckets_) {
-      for (const Event& event : bucket) {
-        release_event_resources(event);
-      }
-      bucket.clear();
-    }
-    for (const Event& event : far_) {
-      release_event_resources(event);
-    }
-    for (const Event& event : heap_) {
-      release_event_resources(event);
-    }
-    for (std::uint32_t slot = 0; slot < messages_.size(); ++slot) {
-      MessageSlot& staged = messages_[slot];
-      if (staged.message && staged.references == 0) {
-        // Staged but never pushed (e.g. a caller that cleared between
-        // staging and the first push_delivery): free it here so clear()
-        // leaves no payload behind.
-        staged.message.reset();
-        free_messages_.push_back(slot);
-      }
-    }
-    near_.clear();
-    near_.shrink_to_fit();
-    near_pos_ = 0;
-    far_.clear();
-    far_.shrink_to_fit();
-    occupancy_.fill(0);
-    heap_.clear();
-    heap_.shrink_to_fit();
-    size_ = 0;
+    return top;
   }
 
   /// Rewinds the queue to its just-constructed state while RETAINING every
   /// capacity a previous run grew (calendar bins, the sorted window, the
-  /// payload slot tables): pending events are dropped and their resources
-  /// released exactly as in clear(), but nothing is shrunk, so the next
-  /// run reaches its steady state with zero allocations. The sequence
-  /// counter, the calendar anchor and the degradation accounting all
-  /// restart from zero, and the backend reverts to the one selected at
-  /// construction — a degrade-to-heap verdict belongs to one run's
-  /// timestamp distribution, never to the next seed. This is what makes a
-  /// forked run bit-identical to a cold-constructed one.
+  /// late heap, the payload slot tables): pending events and every staged
+  /// payload are dropped, but nothing is shrunk, so the next run reaches
+  /// its steady state with zero allocations. The sequence counter and the
+  /// calendar anchor restart from zero. This is what makes a forked run
+  /// bit-identical to a cold-constructed one.
   void reset_run() {
-    for (std::size_t i = near_pos_; i < near_.size(); ++i) {
-      release_event_resources(near_[i]);
-    }
     for (auto& bucket : buckets_) {
-      for (const Event& event : bucket) {
-        release_event_resources(event);
-      }
       bucket.clear();
     }
-    for (const Event& event : far_) {
-      release_event_resources(event);
-    }
-    for (const Event& event : heap_) {
-      release_event_resources(event);
-    }
-    for (MessageSlot& staged : messages_) {
-      // Any payload still staged (including popped-but-unreleased slots —
-      // there are none between runs) must not leak into the next seed.
-      staged.message.reset();
-      staged.references = 0;
-    }
-    messages_.clear();
-    free_messages_.clear();
-    controls_.clear();
-    free_controls_.clear();
     near_.clear();
     near_pos_ = 0;
+    late_.clear();
     far_.clear();
-    heap_.clear();
     occupancy_.fill(0);
+    // Destroys every payload still staged, including ones whose
+    // deliveries were still queued.
+    messages_.clear();
+    free_messages_.clear();
     size_ = 0;
     next_sequence_ = 0;
-    total_pushed_ = 0;
-    far_scanned_ = 0;
-    near_shifted_ = 0;
     active_bucket_ = 0;
     far_boundary_ = static_cast<std::int64_t>(kNumBuckets);
-    backend_ = initial_backend_;
   }
 
  private:
@@ -427,41 +306,17 @@ class EventQueue {
            event.seq_kind;
   }
 
-  /// True when `a` fires after `b`. Sequence numbers increase with every
-  /// push, so the packed seq_kind word compares like the bare sequence.
-  [[nodiscard]] static bool later(const Event& a, const Event& b) noexcept {
-    return priority(a) > priority(b);
-  }
-
   [[nodiscard]] std::uint64_t next_seq_kind(EventKind kind) noexcept {
-    return (next_sequence_++ << 2) | static_cast<std::uint64_t>(kind);
+    return (next_sequence_++ << 1) | static_cast<std::uint64_t>(kind);
   }
 
   [[nodiscard]] static std::int64_t bucket_of(SimTime at) noexcept {
     return static_cast<std::int64_t>(at) >> kBucketShift;
   }
 
-  void release_event_resources(const Event& event) {
-    switch (event.kind()) {
-      case EventKind::kDelivery:
-        release_message(event.delivery.message_slot);
-        break;
-      case EventKind::kControl:
-        (void)take_control(event.control.callback_slot);
-        break;
-      case EventKind::kTimer:
-        break;
-    }
-  }
-
   /// Routes one new event into whichever level owns its timestamp.
   void push_event(const Event& event) {
     ++size_;
-    ++total_pushed_;
-    if (backend_ == Backend::kHeap) {
-      push_heap_event(event);
-      return;
-    }
     if (size_ == 1) {
       // Empty queue: re-anchor the calendar on this event. The bins are
       // all empty, so moving the window wholesale is free and keeps the
@@ -475,30 +330,13 @@ class EventQueue {
     }
     const std::int64_t bucket = bucket_of(event.at);
     if (bucket <= active_bucket_) {
-      // Lands inside the sorted window. The usual case is a timestamp at
-      // or past everything pending (arrival = now + delay), which the
-      // upper_bound resolves to an O(1) append.
-      const unsigned __int128 key = priority(event);
-      if (near_.empty() || key >= priority(near_.back())) {
+      // A non-empty queue always has a non-empty window (possibly fully
+      // consumed). The new sequence number is the largest yet, so a
+      // timestamp at or past the tail's keeps the window sorted.
+      if (event.at >= near_.back().at) {
         near_.push_back(event);
-        return;
-      }
-      const auto insert_at = std::upper_bound(
-          near_.begin() + static_cast<std::ptrdiff_t>(near_pos_), near_.end(),
-          key, [](unsigned __int128 lhs, const Event& rhs) {
-            return lhs < priority(rhs);
-          });
-      // The tail past the insertion point shifts one slot. Shifts are
-      // contiguous 32-byte moves — hundreds of them cost less than one
-      // pointer-chasing heap sift — but when the window is so
-      // overcrowded that each insert moves thousands of events
-      // (occupancies far beyond any simulated topology), a log-time
-      // heap is strictly better. Same deterministic degradation rule
-      // as far_scanned_: a pure function of the pushed timestamps.
-      near_shifted_ += static_cast<std::size_t>(near_.end() - insert_at);
-      near_.insert(insert_at, event);
-      if (near_shifted_ > 256 * total_pushed_ + 4096) {
-        degrade_to_heap();
+      } else {
+        push_late(event);
       }
       return;
     }
@@ -511,9 +349,9 @@ class EventQueue {
     far_.push_back(event);
   }
 
-  /// Re-establishes the sorted window after it drains: advance to the
-  /// next occupied bin, or re-anchor the calendar on the earliest far
-  /// event when a whole revolution is empty.
+  /// Re-establishes the sorted window once it drains (the late heap has
+  /// then drained too): advance to the next occupied bin, or re-anchor the
+  /// calendar on the earliest far event when a whole revolution is empty.
   void refill() {
     near_.clear();
     near_pos_ = 0;
@@ -528,15 +366,7 @@ class EventQueue {
       sort_near();
       return;
     }
-    // Calendar empty: every pending event sits in far_. Each event here
-    // is rescanned at most once per revolution; if that bookkeeping ever
-    // outweighs the events actually pushed, the horizon distribution is
-    // pathological for a calendar and the heap is strictly better.
-    far_scanned_ += far_.size();
-    if (far_scanned_ > 16 * total_pushed_ + 4096) {
-      degrade_to_heap();
-      return;
-    }
+    // Calendar empty: every pending event sits in far_.
     std::int64_t earliest = bucket_of(far_.front().at);
     for (const Event& event : far_) {
       earliest = std::min(earliest, bucket_of(event.at));
@@ -586,117 +416,81 @@ class EventQueue {
     return -1;
   }
 
-  /// One-way migration onto the 4-ary heap; pop order is unaffected
-  /// because both backends emit strictly ascending (timestamp, sequence)
-  /// keys. Triggered only by the pushed-timestamp distribution, so a
-  /// degrading run degrades identically everywhere.
-  void degrade_to_heap() {
-    backend_ = Backend::kHeap;
-    heap_.reserve(size_);
-    for (std::size_t i = near_pos_; i < near_.size(); ++i) {
-      push_heap_event(near_[i]);
-    }
-    for (auto& bucket : buckets_) {
-      for (const Event& event : bucket) {
-        push_heap_event(event);
-      }
-      bucket.clear();
-      bucket.shrink_to_fit();
-    }
-    for (const Event& event : far_) {
-      push_heap_event(event);
-    }
-    near_.clear();
-    near_.shrink_to_fit();
-    near_pos_ = 0;
-    far_.clear();
-    far_.shrink_to_fit();
-    occupancy_.fill(0);
-  }
-
-  /// 4-ary sift-up insertion (hole-based: one copy per level, not a swap).
-  void push_heap_event(const Event& event) {
-    std::size_t hole = heap_.size();
-    heap_.push_back(event);
+  /// 4-ary sift-up insertion into the late heap (hole-based: one copy per
+  /// level, not a swap).
+  void push_late(const Event& event) {
+    const unsigned __int128 key = priority(event);
+    std::size_t hole = late_.size();
+    late_.push_back(event);
     while (hole > 0) {
       const std::size_t parent = (hole - 1) >> 2;
-      if (!later(heap_[parent], event)) {
+      if (priority(late_[parent]) < key) {
         break;
       }
-      heap_[hole] = heap_[parent];
+      late_[hole] = late_[parent];
       hole = parent;
     }
-    heap_[hole] = event;
+    late_[hole] = event;
   }
 
-  [[nodiscard]] Event pop_heap_event(SimTime& now) {
-    const Event top = heap_.front();
-    now = top.at;
-    const Event tail = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      // Sift the former tail down from the root, stopping as soon as it
-      // fits — in a simulation the tail is usually among the latest
-      // events, so it sinks deep, and a 4-ary tree halves the depth. The
-      // min-of-four-children selection runs on branchless 128-bit keys.
-      const std::size_t size = heap_.size();
-      const unsigned __int128 tail_key = priority(tail);
-      std::size_t hole = 0;
-      for (;;) {
-        const std::size_t first_child = (hole << 2) + 1;
-        if (first_child >= size) {
-          break;
-        }
-        std::size_t best = first_child;
-        unsigned __int128 best_key = priority(heap_[first_child]);
-        const std::size_t end_child = std::min(first_child + 4, size);
-        for (std::size_t child = first_child + 1; child < end_child; ++child) {
-          const unsigned __int128 key = priority(heap_[child]);
-          const bool earlier = key < best_key;
-          best = earlier ? child : best;
-          best_key = earlier ? key : best_key;
-        }
-        if (tail_key <= best_key) {
-          break;
-        }
-        heap_[hole] = heap_[best];
-        hole = best;
-      }
-      heap_[hole] = tail;
+  /// Removes the late heap's minimum: the former tail sifts down from the
+  /// root, the min-of-four-children selection on branchless 128-bit keys.
+  [[nodiscard]] Event pop_late() {
+    const Event top = late_.front();
+    const Event tail = late_.back();
+    late_.pop_back();
+    const std::size_t size = late_.size();
+    if (size == 0) {
+      return top;
     }
+    const unsigned __int128 tail_key = priority(tail);
+    std::size_t hole = 0;
+    for (;;) {
+      const std::size_t first_child = (hole << 2) + 1;
+      if (first_child >= size) {
+        break;
+      }
+      std::size_t best = first_child;
+      unsigned __int128 best_key = priority(late_[first_child]);
+      const std::size_t end_child = std::min(first_child + 4, size);
+      for (std::size_t child = first_child + 1; child < end_child; ++child) {
+        const unsigned __int128 key = priority(late_[child]);
+        const bool earlier = key < best_key;
+        best = earlier ? child : best;
+        best_key = earlier ? key : best_key;
+      }
+      if (tail_key < best_key) {
+        break;
+      }
+      late_[hole] = late_[best];
+      hole = best;
+    }
+    late_[hole] = tail;
     return top;
   }
 
-  Backend backend_;
-  /// The backend chosen at construction; reset_run() reverts to it.
-  Backend initial_backend_;
   std::size_t size_ = 0;
   std::uint64_t next_sequence_ = 0;
 
-  // Calendar state. `near_` is sorted ascending with a consumed prefix
-  // [0, near_pos_); it holds every pending event in bucket <= active.
-  // `buckets_` hold unsorted events in (active, far_boundary); `far_`
-  // everything at or past far_boundary_. far_boundary_ - active_bucket_
-  // never exceeds kNumBuckets, so a bin aliases at most one live bucket.
+  // `near_` is sorted ascending with a consumed prefix [0, near_pos_);
+  // together with `late_` it holds every pending event in a bucket <=
+  // active. Every late event was pushed behind the window's tail, and the
+  // tail only grows, so the window never drains before the heap does. `buckets_` hold unsorted events in (active, far_boundary);
+  // `far_` everything at or past far_boundary_. far_boundary_ -
+  // active_bucket_ never exceeds kNumBuckets, so a bin aliases at most
+  // one live bucket.
   std::vector<Event> near_;
   std::size_t near_pos_ = 0;
+  std::vector<Event> late_;
   std::array<std::vector<Event>, kNumBuckets> buckets_;
   std::array<std::uint64_t, kNumBuckets / 64> occupancy_{};
   std::vector<Event> far_;
   std::int64_t active_bucket_ = 0;
   std::int64_t far_boundary_ = static_cast<std::int64_t>(kNumBuckets);
-  std::uint64_t total_pushed_ = 0;
-  std::uint64_t far_scanned_ = 0;
-  std::uint64_t near_shifted_ = 0;
 
-  // Heap state (fallback backend).
-  std::vector<Event> heap_;
-
-  // Payload slot tables, shared by both backends.
+  // Payload slot table.
   std::vector<MessageSlot> messages_;
   std::vector<std::uint32_t> free_messages_;
-  std::vector<Action> controls_;
-  std::vector<std::uint32_t> free_controls_;
 };
 
 }  // namespace slpdas::sim

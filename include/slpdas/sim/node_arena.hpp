@@ -55,15 +55,6 @@ class NodeStateArena {
     offset_ = 0;
   }
 
-  /// Total chunk bytes held (observability for tests).
-  [[nodiscard]] std::size_t bytes_reserved() const noexcept {
-    std::size_t total = 0;
-    for (const Chunk& chunk : chunks_) {
-      total += chunk.size;
-    }
-    return total;
-  }
-
  private:
   struct Chunk {
     std::unique_ptr<std::byte[]> data;

@@ -10,16 +10,18 @@
 // by insertion order, and neighbour iteration order is sorted, so a run is
 // fully reproducible from (graph, protocol, seed).
 //
-// Performance: events are typed values (see event_queue.hpp), so the hot
-// path — delivery and timer expiry — runs with zero per-event heap
-// allocation. Timer cancellation state lives in a dense per-node
-// generation table here, checked when an expiry pops, and the simulator
-// counts events/deliveries/timer-fires for the perf telemetry the sweep
-// JSON reports.
+// Events: a broadcast's receptions and timer expiries are the only two
+// kinds (see event_queue.hpp), so the hot path runs with zero per-event
+// heap allocation. There is no arbitrary-callback event: a harness that
+// acts at a fixed time (say, activating the attacker at source
+// activation) calls run_until(at) and then acts, as RunBatch::Fork does.
+// Timer cancellation state lives in a dense per-node generation table
+// here, checked when an expiry pops, and the simulator counts
+// events/deliveries/timer-fires for the perf telemetry the sweep JSON
+// reports.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -74,6 +76,8 @@ class Process {
 
  protected:
   /// Broadcasts to all 1-hop neighbours (subject to the radio model).
+  /// Throws std::overflow_error when now() + the propagation delay
+  /// overflows SimTime.
   void broadcast(MessagePtr message);
 
   /// Arms (or re-arms) the named timer to fire `delay` from now. Re-arming
@@ -130,11 +134,6 @@ class Simulator {
   /// cell execution (RunBatch forks one simulator per worker and resets
   /// it between seeds instead of reconstructing it).
   void reset_run(std::uint64_t seed);
-
-  /// Schedules an arbitrary callback `delay` from now (used by harnesses
-  /// for phase changes, e.g. "activate the source at period 80").
-  void call_at(SimTime at, std::function<void()> action);
-  void call_after(SimTime delay, std::function<void()> action);
 
   /// Runs until the queue drains, `end` is reached, or stop() is called.
   /// Returns the number of events executed.
@@ -196,13 +195,6 @@ class Simulator {
   /// Timer expiries whose generation was still current (on_timer calls).
   [[nodiscard]] std::uint64_t timers_fired() const noexcept {
     return timers_fired_;
-  }
-
-  /// The event queue's current ordering backend (observability: tests
-  /// assert realistic protocol workloads stay on the calendar and that
-  /// pathological ones degrade to the heap).
-  [[nodiscard]] EventQueue::Backend queue_backend() const noexcept {
-    return queue_.backend();
   }
 
   /// One-way propagation + processing latency applied to every delivery.

@@ -1,5 +1,6 @@
 #include "slpdas/attacker/runtime.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 namespace slpdas::attacker {
@@ -63,7 +64,9 @@ void AttackerRuntime::on_transmission(wsn::NodeId from,
   }
   // The eavesdropper traces data traffic only (by message-type name, so it
   // works against any protocol whose payload traffic is labelled NORMAL).
-  if (traced_type_ != message.name()) {
+  // A text compare, not pointer identity: DAS and phantom routing each
+  // define their own "NORMAL" kName.
+  if (std::strcmp(message.name(), "NORMAL") != 0) {
     return;
   }
   roll_period(at);

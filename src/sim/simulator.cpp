@@ -81,22 +81,6 @@ void Simulator::add_observer(TransmissionObserver* observer) {
   observers_.push_back(observer);
 }
 
-void Simulator::call_at(SimTime at, std::function<void()> action) {
-  if (at < now_) {
-    throw std::invalid_argument("Simulator::call_at: time in the past");
-  }
-  queue_.push_control(at, std::move(action));
-}
-
-void Simulator::call_after(SimTime delay, std::function<void()> action) {
-  if (delay > 0 && now_ > std::numeric_limits<SimTime>::max() - delay) {
-    // Unchecked, now_ + delay would wrap negative (signed overflow is UB)
-    // and sail PAST the call_at past-time check as a bogus early event.
-    throw std::overflow_error("Simulator::call_after: delay overflows SimTime");
-  }
-  call_at(now_ + delay, std::move(action));
-}
-
 void Simulator::grow_timer_table(int timer_id) {
   const std::size_t new_stride =
       std::bit_ceil(static_cast<std::size_t>(timer_id) + 1);
@@ -198,6 +182,11 @@ void Simulator::reset_run(std::uint64_t seed) {
 }
 
 void Simulator::do_broadcast(wsn::NodeId from, MessagePtr message) {
+  if (now_ > std::numeric_limits<SimTime>::max() - propagation_delay_) {
+    // Unchecked, now_ + propagation_delay_ would wrap SimTime (signed
+    // overflow is UB) into deliveries scheduled in the past.
+    throw std::overflow_error("Process::broadcast: arrival overflows SimTime");
+  }
   auto& counters = traffic_[static_cast<std::size_t>(from)];
   ++counters.sent;
   ++total_sent_;
@@ -208,7 +197,7 @@ void Simulator::do_broadcast(wsn::NodeId from, MessagePtr message) {
   }
 
   // One staged payload shared by every receiver; each push is one POD
-  // heap entry — no per-receiver closure, no per-receiver refcount churn.
+  // queue entry — no per-receiver closure, no per-receiver refcount churn.
   // The slot is staged lazily so an all-lost broadcast stages nothing,
   // and radio decisions stay in neighbour order (the rng draw order the
   // determinism contract pins).
@@ -264,12 +253,6 @@ bool Simulator::step(SimTime end) {
         processes_[static_cast<std::size_t>(event.timer.node)]->on_timer(
             event.timer.timer_id);
       }
-      break;
-    }
-    case EventKind::kControl: {
-      const EventQueue::Action action =
-          queue_.take_control(event.control.callback_slot);
-      action();
       break;
     }
   }

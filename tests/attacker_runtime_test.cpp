@@ -61,7 +61,8 @@ TEST(AttackerRuntimeTest, CapturesOnLineInDistancePeriods) {
                            default_params(net.topology.sink),
                            net.topology.source);
   const sim::SimTime activation = net.setup_end();
-  net.simulator->call_at(activation, [&] { attacker.activate(activation); });
+  net.simulator->run_until(activation);
+  attacker.activate(activation);
   net.simulator->run_until(activation + 10 * net.period());
   ASSERT_TRUE(attacker.captured());
   const auto periods_taken =
@@ -77,7 +78,8 @@ TEST(AttackerRuntimeTest, TrailIsAWalkOnTheGraph) {
                            default_params(net.topology.sink),
                            net.topology.source);
   const sim::SimTime activation = net.setup_end();
-  net.simulator->call_at(activation, [&] { attacker.activate(activation); });
+  net.simulator->run_until(activation);
+  attacker.activate(activation);
   net.simulator->run_until(activation + 20 * net.period());
   const auto& trail = attacker.trail();
   ASSERT_GE(trail.size(), 2u);
@@ -95,7 +97,8 @@ TEST(AttackerRuntimeTest, OneMovePerPeriodForClassicAttacker) {
                            net.topology.source);
   attacker.set_stop_on_capture(false);
   const sim::SimTime activation = net.setup_end();
-  net.simulator->call_at(activation, [&] { attacker.activate(activation); });
+  net.simulator->run_until(activation);
+  attacker.activate(activation);
   const int periods = 7;
   net.simulator->run_until(activation + periods * net.period());
   EXPECT_LE(attacker.moves_made(), periods);
@@ -107,7 +110,8 @@ TEST(AttackerRuntimeTest, StopOnCaptureHaltsSimulation) {
                            default_params(net.topology.sink),
                            net.topology.source);
   const sim::SimTime activation = net.setup_end();
-  net.simulator->call_at(activation, [&] { attacker.activate(activation); });
+  net.simulator->run_until(activation);
+  attacker.activate(activation);
   net.simulator->run_until(activation + 20 * net.period());
   ASSERT_TRUE(attacker.captured());
   EXPECT_TRUE(net.simulator->stopped());
@@ -122,7 +126,8 @@ TEST(AttackerRuntimeTest, KeepsRunningWhenStopDisabled) {
   attacker.set_stop_on_capture(false);
   const sim::SimTime activation = net.setup_end();
   const sim::SimTime horizon = activation + 20 * net.period();
-  net.simulator->call_at(activation, [&] { attacker.activate(activation); });
+  net.simulator->run_until(activation);
+  attacker.activate(activation);
   net.simulator->run_until(horizon);
   ASSERT_TRUE(attacker.captured());
   EXPECT_FALSE(net.simulator->stopped());
@@ -189,7 +194,8 @@ TEST(AttackerRuntimeTest, HistoryAttackerRecordsBoundedHistory) {
                            net.topology.source);
   attacker.set_stop_on_capture(false);
   const sim::SimTime activation = net.setup_end();
-  net.simulator->call_at(activation, [&] { attacker.activate(activation); });
+  net.simulator->run_until(activation);
+  attacker.activate(activation);
   net.simulator->run_until(activation + 10 * net.period());
   EXPECT_GE(attacker.moves_made(), 1);
 }

@@ -1,15 +1,18 @@
 // Tests for the deterministic typed event queue: time ordering plus FIFO
-// tie-breaking across all three event kinds (the property that makes runs
-// reproducible), shared-message staging/release, the calendar backend's
-// equivalence to the forced heap (including its deterministic degradation
-// on pathological horizons), and the simulator-level cancelled-timer skip
-// at pop time.
+// tie-breaking across both event kinds (the property that makes runs
+// reproducible), shared-message staging/release, a table of push/pop
+// workloads checked pop for pop against a reference priority queue
+// (covering the sorted window, the late heap, the calendar bins and the
+// far list), and the simulator-level cancelled-timer skip at pop time.
 #include "slpdas/sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,25 +27,27 @@ struct TestMessage final : Message {
   [[nodiscard]] const char* name() const noexcept override { return "TEST"; }
 };
 
-/// Pops every event, returning kinds in pop order and releasing whatever
-/// resources the events hold.
+/// Pops every event, returning kinds in pop order and releasing the
+/// message references deliveries hold.
 std::vector<EventKind> drain(EventQueue& queue, SimTime& now) {
   std::vector<EventKind> kinds;
   while (!queue.empty()) {
     const Event event = queue.pop(now);
     kinds.push_back(event.kind());
-    switch (event.kind()) {
-      case EventKind::kDelivery:
-        queue.release_message(event.delivery.message_slot);
-        break;
-      case EventKind::kControl:
-        queue.take_control(event.control.callback_slot)();
-        break;
-      case EventKind::kTimer:
-        break;
+    if (event.kind() == EventKind::kDelivery) {
+      queue.release_message(event.delivery.message_slot);
     }
   }
   return kinds;
+}
+
+/// Pops every event, returning the timer ids in pop order.
+std::vector<std::int32_t> drain_timer_ids(EventQueue& queue, SimTime& now) {
+  std::vector<std::int32_t> ids;
+  while (!queue.empty()) {
+    ids.push_back(queue.pop(now).timer.timer_id);
+  }
+  return ids;
 }
 
 TEST(EventQueueTest, StartsEmpty) {
@@ -54,39 +59,35 @@ TEST(EventQueueTest, StartsEmpty) {
 
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  queue.push_control(30, [&] { order.push_back(3); });
-  queue.push_control(10, [&] { order.push_back(1); });
-  queue.push_control(20, [&] { order.push_back(2); });
+  queue.push_timer(30, 0, 3, 1);
+  queue.push_timer(10, 0, 1, 1);
+  queue.push_timer(20, 0, 2, 1);
   SimTime now = 0;
-  drain(queue, now);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(drain_timer_ids(queue, now), (std::vector<std::int32_t>{1, 2, 3}));
   EXPECT_EQ(now, 30);
 }
 
 TEST(EventQueueTest, EqualTimesFireInInsertionOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 50; ++i) {
-    queue.push_control(5, [&order, i] { order.push_back(i); });
+  std::vector<std::int32_t> expected;
+  for (std::int32_t i = 0; i < 50; ++i) {
+    queue.push_timer(5, 0, i, 1);
+    expected.push_back(i);
   }
   SimTime now = 0;
-  drain(queue, now);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
+  EXPECT_EQ(drain_timer_ids(queue, now), expected);
 }
 
 TEST(EventQueueTest, EqualTimesTieBreakAcrossKindsByInsertionOrder) {
-  // A delivery, a timer and a control pushed at one timestamp pop in push
-  // order — the cross-kind FIFO guarantee the protocol stack relies on
-  // (e.g. a reception and a period-boundary timer landing on the same
-  // microsecond must not reorder between runs or refactors).
+  // Deliveries and timers pushed at one timestamp pop in push order — the
+  // cross-kind FIFO guarantee the protocol stack relies on (e.g. a
+  // reception and a period-boundary timer landing on the same microsecond
+  // must not reorder between runs or refactors).
   EventQueue queue;
   const std::uint32_t slot = queue.stage_message(std::make_shared<TestMessage>());
   queue.push_delivery(7, /*from=*/0, /*to=*/1, slot);
   queue.push_timer(7, /*node=*/1, /*timer_id=*/4, /*generation=*/1);
-  queue.push_control(7, [] {});
+  queue.push_timer(7, /*node=*/3, /*timer_id=*/4, /*generation=*/1);
   queue.push_delivery(7, /*from=*/0, /*to=*/2, slot);
   queue.push_timer(7, /*node=*/2, /*timer_id=*/4, /*generation=*/1);
 
@@ -94,7 +95,7 @@ TEST(EventQueueTest, EqualTimesTieBreakAcrossKindsByInsertionOrder) {
   const std::vector<EventKind> kinds = drain(queue, now);
   EXPECT_EQ(kinds,
             (std::vector<EventKind>{EventKind::kDelivery, EventKind::kTimer,
-                                    EventKind::kControl, EventKind::kDelivery,
+                                    EventKind::kTimer, EventKind::kDelivery,
                                     EventKind::kTimer}));
   EXPECT_EQ(now, 7);
   EXPECT_EQ(queue.staged_message_count(), 0u);
@@ -136,167 +137,45 @@ TEST(EventQueueTest, NextTimeReportsHead) {
 
 TEST(EventQueueTest, InterleavedPushPopKeepsOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  queue.push_control(10, [&] { order.push_back(1); });
+  queue.push_timer(10, 0, 1, 1);
   SimTime now = 0;
-  queue.take_control(queue.pop(now).control.callback_slot)();
-  queue.push_control(5, [&] { order.push_back(2); });   // earlier absolute time,
-  queue.push_control(20, [&] { order.push_back(3); });  // pushed later
-  drain(queue, now);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(queue.pop(now).timer.timer_id, 1);
+  queue.push_timer(15, 0, 3, 1);  // later absolute time, pushed first
+  queue.push_timer(12, 0, 2, 1);  // earlier absolute time, pushed later
+  EXPECT_EQ(drain_timer_ids(queue, now), (std::vector<std::int32_t>{2, 3}));
 }
 
-TEST(EventQueueTest, ClearReleasesMessageReferencesAndCallbacks) {
+TEST(EventQueueTest, ResetRunReleasesPayloadsAndRestartsSequence) {
   EventQueue queue;
   auto message = std::make_shared<TestMessage>();
   const std::uint32_t slot = queue.stage_message(message);
   queue.push_delivery(1, 0, 1, slot);
   queue.push_delivery(2, 0, 2, slot);
-  auto witness = std::make_shared<int>(0);
-  queue.push_control(3, [witness] { ++*witness; });
   queue.push_timer(4, 0, 1, 1);
-  // Staged but never pushed: clear() must free this one too.
+  // Staged but never pushed: reset_run() must free this one too.
   auto orphan = std::make_shared<TestMessage>();
   (void)queue.stage_message(orphan);
   EXPECT_EQ(message.use_count(), 2);
-  EXPECT_EQ(witness.use_count(), 2);
   EXPECT_EQ(orphan.use_count(), 2);
 
-  queue.clear();
+  queue.reset_run();
   EXPECT_TRUE(queue.empty());
-  // The staged payloads and the captured callback state were all released:
-  // nothing but the test's own handles survive.
+  // Nothing but the test's own handles survive.
   EXPECT_EQ(queue.staged_message_count(), 0u);
   EXPECT_EQ(message.use_count(), 1);
-  EXPECT_EQ(witness.use_count(), 1);
   EXPECT_EQ(orphan.use_count(), 1);
+  // The next run numbers its events from zero, like a fresh queue.
+  queue.push_timer(3, 0, 1, 1);
+  SimTime now = 0;
+  EXPECT_EQ(queue.pop(now).sequence(), 0u);
 }
 
-TEST(EventQueueTest, RejectsNullMessageAndNullAction) {
+TEST(EventQueueTest, RejectsNullMessage) {
   EventQueue queue;
   EXPECT_THROW((void)queue.stage_message(nullptr), std::invalid_argument);
-  EXPECT_THROW(queue.push_control(1, nullptr), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------------
-// Calendar backend: equivalence to the forced heap, and the deterministic
-// degradation triggers.
-// ---------------------------------------------------------------------------
-
-/// Pops every event of a timer-only queue, recording (timestamp, sequence).
-std::vector<std::pair<SimTime, std::uint64_t>> drain_keys(EventQueue& queue) {
-  std::vector<std::pair<SimTime, std::uint64_t>> keys;
-  SimTime now = 0;
-  while (!queue.empty()) {
-    const Event event = queue.pop(now);
-    keys.emplace_back(event.at, event.sequence());
-  }
-  return keys;
-}
-
-TEST(EventQueueBackendTest, ForcedHeapBackendIsConstructible) {
-  EventQueue queue(EventQueue::Backend::kHeap);
-  EXPECT_EQ(queue.backend(), EventQueue::Backend::kHeap);
-  queue.push_timer(20, 0, 1, 1);
-  queue.push_timer(10, 0, 1, 2);
-  SimTime now = 0;
-  EXPECT_EQ(queue.pop(now).at, 10);
-  EXPECT_EQ(queue.pop(now).at, 20);
-  EXPECT_EQ(now, 20);
-}
-
-TEST(EventQueueBackendTest, CalendarMatchesHeapOnMixedHorizonWorkload) {
-  // The same randomised push/pop interleaving — propagation-scale pushes,
-  // dissemination bursts, far-horizon tails, duplicate timestamps — must
-  // pop in the identical (timestamp, sequence) order on both backends.
-  // Sequence numbers advance identically on every push flavour, so equal
-  // key streams mean bit-identical simulations.
-  EventQueue calendar(EventQueue::Backend::kCalendar);
-  EventQueue heap(EventQueue::Backend::kHeap);
-  Rng rng(2024);
-  SimTime calendar_now = 0;
-  SimTime heap_now = 0;
-  std::vector<std::pair<SimTime, std::uint64_t>> calendar_keys;
-  std::vector<std::pair<SimTime, std::uint64_t>> heap_keys;
-  SimTime now = 0;
-  for (int step = 0; step < 20000; ++step) {
-    const std::uint64_t action = rng.uniform(100);
-    if (action < 60 || calendar.empty()) {
-      SimTime delay;
-      const std::uint64_t band = rng.uniform(100);
-      if (band < 80) {
-        delay = static_cast<SimTime>(rng.uniform(50'000));  // slot scale
-      } else if (band < 95) {
-        delay = static_cast<SimTime>(rng.uniform(1'000'000));  // dissem
-      } else {
-        delay = static_cast<SimTime>(rng.uniform(20'000'000));  // far tail
-      }
-      const auto node = static_cast<wsn::NodeId>(rng.uniform(64));
-      calendar.push_timer(now + delay, node, 1, 0);
-      heap.push_timer(now + delay, node, 1, 0);
-    } else {
-      const Event from_calendar = calendar.pop(calendar_now);
-      const Event from_heap = heap.pop(heap_now);
-      calendar_keys.emplace_back(from_calendar.at, from_calendar.sequence());
-      heap_keys.emplace_back(from_heap.at, from_heap.sequence());
-      now = calendar_now;
-    }
-  }
-  const auto calendar_tail = drain_keys(calendar);
-  const auto heap_tail = drain_keys(heap);
-  calendar_keys.insert(calendar_keys.end(), calendar_tail.begin(),
-                       calendar_tail.end());
-  heap_keys.insert(heap_keys.end(), heap_tail.begin(), heap_tail.end());
-  ASSERT_EQ(calendar_keys.size(), heap_keys.size());
-  EXPECT_EQ(calendar_keys, heap_keys);
-  // This workload is calendar-friendly: no degradation.
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kCalendar);
-}
-
-TEST(EventQueueBackendTest, DegradesToHeapOnPathologicalFarHorizon) {
-  // Thousands of events, each a calendar revolution apart: every refill
-  // re-anchors and re-partitions the whole far overflow to surface ONE
-  // event. The far-scan accounting must notice and migrate to the heap —
-  // and the pop order must be unaffected.
-  constexpr int kEvents = 4000;
-  constexpr SimTime kStride =
-      (static_cast<SimTime>(EventQueue::kNumBuckets) + 7)
-      << EventQueue::kBucketShift;
-  EventQueue calendar;
-  EventQueue heap(EventQueue::Backend::kHeap);
-  for (int i = 0; i < kEvents; ++i) {
-    // Ascending, so all but the anchor land in the far overflow and every
-    // pop's refill re-partitions the remaining far events.
-    const SimTime at = static_cast<SimTime>(i + 1) * kStride;
-    calendar.push_timer(at, 0, 1, 0);
-    heap.push_timer(at, 0, 1, 0);
-  }
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kCalendar);
-  const auto calendar_keys = drain_keys(calendar);
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kHeap)
-      << "far-horizon workload should have degraded the calendar";
-  EXPECT_EQ(calendar_keys, drain_keys(heap));
-}
-
-TEST(EventQueueBackendTest, DegradesToHeapOnOvercrowdedSortedWindow) {
-  // Descending timestamps inside one bucket: every push inserts at the
-  // window's front, shifting the whole tail. Once the cumulative shift
-  // cost dwarfs the push count the queue must switch to the heap rather
-  // than go quadratic — again without reordering anything.
-  constexpr int kEvents = 3000;
-  EventQueue calendar;
-  EventQueue heap(EventQueue::Backend::kHeap);
-  for (int i = 0; i < kEvents; ++i) {
-    const SimTime at = static_cast<SimTime>(kEvents - i);
-    calendar.push_timer(at, 0, 1, 0);
-    heap.push_timer(at, 0, 1, 0);
-  }
-  EXPECT_EQ(calendar.backend(), EventQueue::Backend::kHeap)
-      << "descending same-bucket pushes should have degraded the calendar";
-  EXPECT_EQ(drain_keys(calendar), drain_keys(heap));
-}
-
-TEST(EventQueueBackendTest, ReserveKeepsOrderAndSize) {
+TEST(EventQueueTest, ReserveKeepsOrderAndSize) {
   EventQueue queue;
   queue.push_timer(30, 0, 1, 1);
   queue.push_timer(10, 0, 1, 2);
@@ -308,6 +187,168 @@ TEST(EventQueueBackendTest, ReserveKeepsOrderAndSize) {
   EXPECT_EQ(queue.pop(now).at, 20);
   EXPECT_EQ(queue.pop(now).at, 30);
 }
+
+// ---------------------------------------------------------------------------
+// Pop order against a reference: every workload below runs through the
+// queue and through std::priority_queue on the same (timestamp, sequence)
+// keys, and both must pop identically. Sequence numbers advance on every
+// push, so equal key streams mean bit-identical simulations.
+// ---------------------------------------------------------------------------
+
+using Key = std::pair<SimTime, std::uint64_t>;
+
+/// Mirrors every push and pop onto a reference min-queue of keys and
+/// records both pop streams.
+class ReferenceCheck {
+ public:
+  void push(SimTime at) {
+    queue_.push_timer(at, 0, 1, 0);
+    reference_.emplace(at, pushed_++);
+  }
+
+  void pop() {
+    EXPECT_EQ(queue_.next_time(), reference_.top().first);
+    const Event event = queue_.pop(now_);
+    popped_.emplace_back(event.at, event.sequence());
+    expected_.push_back(reference_.top());
+    reference_.pop();
+  }
+
+  void drain() {
+    while (!queue_.empty()) {
+      pop();
+    }
+    EXPECT_TRUE(reference_.empty());
+  }
+
+  [[nodiscard]] SimTime now() const noexcept { return now_; }
+  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
+  [[nodiscard]] const std::vector<Key>& popped() const { return popped_; }
+  [[nodiscard]] const std::vector<Key>& expected() const { return expected_; }
+
+ private:
+  EventQueue queue_;
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> reference_;
+  std::uint64_t pushed_ = 0;
+  SimTime now_ = 0;
+  std::vector<Key> popped_;
+  std::vector<Key> expected_;
+};
+
+/// One calendar revolution plus a few buckets: consecutive events this far
+/// apart always sit in the far list relative to each other.
+constexpr SimTime kRevolution =
+    (static_cast<SimTime>(EventQueue::kNumBuckets) + 7)
+    << EventQueue::kBucketShift;
+
+/// Randomised push/pop interleaving; `draw_delay` picks each push's delay.
+void random_walk(ReferenceCheck& check, std::uint64_t seed,
+                 const std::function<SimTime(Rng&)>& draw_delay) {
+  Rng rng(seed);
+  for (int step = 0; step < 20000; ++step) {
+    if (rng.uniform(100) < 60 || check.empty()) {
+      check.push(check.now() + draw_delay(rng));
+    } else {
+      check.pop();
+    }
+  }
+  check.drain();
+}
+
+struct OrderCase {
+  std::string name;
+  std::function<void(ReferenceCheck&)> run;
+};
+
+const std::vector<OrderCase>& order_cases() {
+  static const std::vector<OrderCase> cases = {
+      // Propagation-scale pushes, dissemination bursts, far-horizon tails
+      // and duplicate timestamps, interleaved with pops.
+      {"mixed_horizon_walk",
+       [](ReferenceCheck& check) {
+         random_walk(check, 2024, [](Rng& rng) {
+           const std::uint64_t band = rng.uniform(100);
+           if (band < 80) {
+             return static_cast<SimTime>(rng.uniform(50'000));  // slot scale
+           }
+           if (band < 95) {
+             return static_cast<SimTime>(rng.uniform(1'000'000));  // dissem
+           }
+           return static_cast<SimTime>(rng.uniform(20'000'000));  // far tail
+         });
+       }},
+      // Delays within about one bucket: most pushes land in the active
+      // bucket, many of them behind the window's tail (the late heap).
+      {"same_bucket_jitter",
+       [](ReferenceCheck& check) {
+         random_walk(check, 7, [](Rng& rng) {
+           return static_cast<SimTime>(rng.uniform(6'000));
+         });
+       }},
+      // Descending timestamps inside one bucket: every push after the
+      // first lands behind the window's tail.
+      {"descending_same_bucket",
+       [](ReferenceCheck& check) {
+         constexpr int kEvents = 3000;
+         for (int i = 0; i < kEvents; ++i) {
+           check.push(static_cast<SimTime>(kEvents - i));
+         }
+         check.drain();
+       }},
+      // Events a calendar revolution apart: every refill re-anchors on the
+      // far list. Each refill rescans the whole far list, so the case is
+      // sized to stay fast.
+      {"far_horizon_stride",
+       [](ReferenceCheck& check) {
+         for (int i = 0; i < 300; ++i) {
+           check.push(static_cast<SimTime>(i + 1) * kRevolution);
+         }
+         check.drain();
+       }},
+      // A refill jumps the window ahead of `now` (to a later bin, then to
+      // the far list); the handler of the popped event then pushes at
+      // now + 1 ms, behind the new window, and those pushes must still
+      // come first.
+      {"push_behind_jumped_window",
+       [](ReferenceCheck& check) {
+         constexpr SimTime kMs = kMillisecond;
+         const SimTime later_bin = 10 << EventQueue::kBucketShift;
+         check.push(0);
+         check.push(later_bin + 100);
+         check.push(later_bin + 200);
+         check.pop();  // now = 0; the window jumps to later_bin
+         check.push(check.now() + kMs);
+         check.push(check.now() + 2 * kMs);
+         check.pop();  // now = 1 ms, from behind the window
+         check.push(check.now() + kMs);  // ties the pending 2 ms push
+         check.drain();
+
+         check.push(check.now() + kMs);
+         check.push(check.now() + kRevolution);
+         check.pop();  // the calendar is empty: the window jumps to far
+         check.push(check.now() + kMs);
+         check.push(check.now() + kRevolution - kMs);
+         check.drain();
+       }},
+  };
+  return cases;
+}
+
+class EventQueueOrderTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EventQueueOrderTest, PopsLikeAReferencePriorityQueue) {
+  ReferenceCheck check;
+  order_cases()[GetParam()].run(check);
+  ASSERT_FALSE(check.popped().empty());
+  EXPECT_EQ(check.popped(), check.expected());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, EventQueueOrderTest,
+    ::testing::Range<std::size_t>(0, order_cases().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return order_cases()[info.param].name;
+    });
 
 // ---------------------------------------------------------------------------
 // Cancelled-timer skip at pop (simulator-level: the generation table lives

@@ -29,9 +29,8 @@ TEST(IntegrationTest, SimulationAgreesWithVerifierOnLine) {
   attacker::AttackerRuntime eavesdropper(*net.simulator, net.params.frame(),
                                          params, net.topology.source);
   const sim::SimTime activation = net.setup_end();
-  net.simulator->call_at(activation,
-                         [&] { eavesdropper.activate(activation); });
   run_setup(net);
+  eavesdropper.activate(activation);
   const auto schedule = das::extract_schedule(*net.simulator);
   ASSERT_TRUE(schedule.complete());
 
@@ -65,9 +64,8 @@ TEST(IntegrationTest, VerifierCounterexampleReplaysInSimulation) {
     attacker::AttackerRuntime eavesdropper(*net.simulator, net.params.frame(),
                                            params, net.topology.source);
     const sim::SimTime activation = net.setup_end();
-    net.simulator->call_at(activation,
-                           [&] { eavesdropper.activate(activation); });
     run_setup(net);
+    eavesdropper.activate(activation);
     const auto schedule = das::extract_schedule(*net.simulator);
     ASSERT_TRUE(schedule.complete()) << "seed " << seed;
 

@@ -125,8 +125,8 @@ TEST(PhantomRoutingTest, AttackerRunsAgainstPhantomTraffic) {
                                          net.topology.source);
   const sim::SimTime activation =
       net.config.setup_periods * net.config.period;
-  net.simulator->call_at(activation,
-                         [&] { eavesdropper.activate(activation); });
+  net.simulator->run_until(activation);
+  eavesdropper.activate(activation);
   net.simulator->run_until(activation + 12 * net.config.period);
   // The attacker moved at least once (phantom traffic is audible)...
   EXPECT_GE(eavesdropper.moves_made(), 1);

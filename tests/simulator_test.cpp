@@ -187,8 +187,8 @@ class BadTimerProcess final : public Process {
   }
   void on_timer(int) override {
     // now() is past zero here, so the maximum delay must be rejected:
-    // unchecked, now() + delay would wrap SimTime (signed overflow) and
-    // sail past call_at's past-time check as a bogus early event.
+    // unchecked, now() + delay would wrap SimTime (signed overflow) into
+    // a bogus early expiry.
     EXPECT_THROW(set_timer(1, std::numeric_limits<SimTime>::max()),
                  std::overflow_error);
     // The largest still-representable delay remains accepted.
@@ -223,34 +223,55 @@ TEST(SimulatorApiTest, RegistrationErrors) {
   EXPECT_THROW(Simulator(line.graph, nullptr, 1), std::invalid_argument);
 }
 
-TEST(SimulatorApiTest, CallAtRejectsPast) {
+/// Broadcasts from a timer armed at the very end of representable time,
+/// where the arrival time now() + propagation delay cannot exist.
+class LastInstantBroadcaster final : public Process {
+ public:
+  void on_start() override {
+    if (id() == 0) {
+      set_timer(1, std::numeric_limits<SimTime>::max());
+    }
+  }
+  void on_timer(int) override {
+    EXPECT_THROW(broadcast(std::make_shared<PingMessage>()),
+                 std::overflow_error);
+    ran = true;
+  }
+  void on_message(wsn::NodeId, const Message&) override {}
+
+  bool ran = false;
+};
+
+TEST(SimulatorTimerTest, BroadcastRejectsOverflowingArrival) {
   const wsn::Topology line = wsn::make_line(2);
   Simulator simulator(line.graph, make_ideal_radio(), 1);
-  simulator.add_process(0, std::make_unique<TimerProcess>());
-  simulator.add_process(1, std::make_unique<TimerProcess>());
-  simulator.run_until(kSecond);
-  EXPECT_THROW(simulator.call_at(0, [] {}), std::invalid_argument);
+  simulator.add_process(0, std::make_unique<LastInstantBroadcaster>());
+  simulator.add_process(1, std::make_unique<LastInstantBroadcaster>());
+  simulator.run_until(std::numeric_limits<SimTime>::max());
+  EXPECT_TRUE(
+      dynamic_cast<LastInstantBroadcaster&>(simulator.process(0)).ran);
+  // The rejected broadcast sent and queued nothing.
+  EXPECT_EQ(simulator.total_sent(), 0u);
+  EXPECT_EQ(simulator.deliveries_executed(), 0u);
 }
 
-TEST(SimulatorApiTest, CallAfterRejectsOverflowingDelay) {
-  const wsn::Topology line = wsn::make_line(2);
-  Simulator simulator(line.graph, make_ideal_radio(), 1);
-  simulator.add_process(0, std::make_unique<TimerProcess>());
-  simulator.add_process(1, std::make_unique<TimerProcess>());
-  simulator.run_until(kSecond);  // now > 0, so max delay wraps
-  EXPECT_THROW(simulator.call_after(std::numeric_limits<SimTime>::max(), [] {}),
-               std::overflow_error);
-  // A far-future but representable callback is still fine.
-  simulator.call_after(std::numeric_limits<SimTime>::max() - simulator.now(),
-                       [] {});
-}
+/// Stops the whole simulation from a timer half a second in.
+class StoppingProcess final : public Process {
+ public:
+  void on_start() override {
+    if (id() == 0) {
+      set_timer(1, kSecond / 2);
+    }
+  }
+  void on_timer(int) override { simulator().stop(); }
+  void on_message(wsn::NodeId, const Message&) override {}
+};
 
 TEST(SimulatorApiTest, StopHaltsRun) {
   const wsn::Topology line = wsn::make_line(2);
   Simulator simulator(line.graph, make_ideal_radio(), 1);
-  simulator.add_process(0, std::make_unique<TimerProcess>());
+  simulator.add_process(0, std::make_unique<StoppingProcess>());
   simulator.add_process(1, std::make_unique<TimerProcess>());
-  simulator.call_after(kSecond / 2, [&] { simulator.stop(); });
   simulator.run_until(10 * kSecond);
   EXPECT_TRUE(simulator.stopped());
   EXPECT_EQ(simulator.now(), kSecond / 2);
