@@ -2,7 +2,8 @@
 // data-phase convergecast, forming the paper's "protectionless DAS"
 // baseline protocol.
 //
-// Timeline of one run (all nodes share TDMA period boundaries):
+// Timeline of one run (all nodes share TDMA period boundaries — the
+// simulator's frame clock, which every node joins in on_start):
 //
 //   periods [0, NDP)              neighbour discovery (HELLO beacons)
 //   periods [NDP, MSP)            setup: dissemination, parent choice,
@@ -16,8 +17,9 @@
 //   dissem::   -> a jittered send inside each period's dissemination window
 //   receiveN:: -> handle_dissem() with message.normal == true
 //   receiveU:: -> handle_dissem() with update semantics (parent slot repair)
-//   process::  -> the end-of-dissemination-window timer (parent choice and
-//                 collision resolution run after "receiving all messages")
+//   process::  -> on_window_end(), the frame clock's end-of-dissemination-
+//                 window hook (parent choice and collision resolution run
+//                 after "receiving all messages")
 #pragma once
 
 #include <cstdint>
@@ -121,20 +123,25 @@ class ProtectionlessDas : public sim::Process {
   void on_start() override;
   void on_message(wsn::NodeId from, const sim::Message& message) override;
   void on_timer(int timer_id) override;
+  /// Period boundary: discovery beacons, the sink's init::, the period's
+  /// dissemination and data-slot timers, source generation, then
+  /// on_period_start. Arms timers only (the frame-clock hook contract).
+  void on_frame_start(std::int64_t frame) override;
+  /// End of the dissemination window: the paper's process:: action.
+  void on_window_end() override;
   void reset_run() override;
 
  protected:
   enum Timer : int {
-    kPeriodTimer = 1,
-    kHelloTimer,
+    kHelloTimer = 1,
     kDissemSendTimer,
-    kProcessTimer,
     kDataTimer,
     kFirstDerivedTimer,  ///< derived protocols start their timer ids here
   };
 
-  /// Hook: called at every period boundary after base bookkeeping (used by
-  /// the SLP extension to launch Phase 2).
+  /// Hook: called at every non-discovery period boundary after base
+  /// bookkeeping (used by the SLP extension to launch Phase 2). Runs inside
+  /// on_frame_start, so it too may arm timers but never broadcast.
   virtual void on_period_start(int period_index) { (void)period_index; }
 
   /// Hook: called for message types the base protocol does not understand
@@ -170,7 +177,6 @@ class ProtectionlessDas : public sim::Process {
   void handle_hello(wsn::NodeId from);
   void handle_dissem(wsn::NodeId from, const DissemMessage& message);
   void handle_normal(wsn::NodeId from, const NormalMessage& message);
-  void run_process_action();  // the paper's process:: action
   void resolve_collisions();  // Figure 2's collision-detection block
   void send_dissem();
   void send_data();
@@ -227,7 +233,7 @@ class ProtectionlessDas : public sim::Process {
   /// repair and collision resolution): set whenever a neighbour is
   /// discovered, an ninfo_ entry changes, or our own (hop, slot) moves —
   /// the only inputs those scans read. When clear, re-running the scans
-  /// would provably reproduce last period's no-op, so run_process_action
+  /// would provably reproduce last period's no-op, so on_window_end
   /// skips them; this kills the O(known_assigned) sweep per node per
   /// period once (and between) schedule changes.
   bool repair_check_pending_ = true;

@@ -92,14 +92,17 @@ class PhantomRouting final : public sim::Process {
   }
 
   void on_start() override;
+  /// Period boundary (the simulator's frame clock): discovery beacons, the
+  /// sink's gradient flood, one source datum per data period. Arms timers
+  /// only (the frame-clock hook contract).
+  void on_frame_start(std::int64_t frame) override;
   void on_timer(int timer_id) override;
   void on_message(wsn::NodeId from, const sim::Message& message) override;
   void reset_run() override;
 
  private:
   enum Timer : int {
-    kPeriodTimer = 1,
-    kHelloTimer,
+    kHelloTimer = 1,
     kBeaconTimer,
     kGenerateTimer,
     kForwardTimer,

@@ -11,14 +11,24 @@
 // fully reproducible from (graph, protocol, seed).
 //
 // Events: a broadcast's receptions and timer expiries are the only two
-// kinds (see event_queue.hpp), so the hot path runs with zero per-event
-// heap allocation. There is no arbitrary-callback event: a harness that
-// acts at a fixed time (say, activating the attacker at source
-// activation) calls run_until(at) and then acts, as RunBatch::Fork does.
-// Timer cancellation state lives in a dense per-node generation table
-// here, checked when an expiry pops, and the simulator counts
-// events/deliveries/timer-fires for the perf telemetry the sweep JSON
-// reports.
+// queued kinds (see event_queue.hpp), so the hot path runs with zero
+// per-event heap allocation. There is no arbitrary-callback event: a
+// harness that acts at a fixed time (say, activating the attacker at
+// source activation) calls run_until(at) and then acts, as RunBatch::Fork
+// does. Timer cancellation state lives in a dense per-node generation
+// table here, checked when an expiry pops.
+//
+// Frame clock: the paper's TDMA model gives every node the same frame (a
+// dissemination window, then the data slots), so frame boundaries are one
+// global clock here, not a timer per node. A process joins it from
+// on_start (Process::join_frame_clock); the simulator then runs one tick
+// at each frame start and one at each window end, each calling the
+// matching hook of every joined process in node-id order before any
+// queued event of that instant. With no joined process there are no
+// ticks.
+//
+// Counters (the perf telemetry the sweep JSON reports): a tick counts as
+// one executed event, whatever hooks it calls, and never as a timer fire.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +76,18 @@ class Process {
   /// Called when a timer armed with set_timer(timer_id, ...) fires.
   virtual void on_timer(int timer_id) { (void)timer_id; }
 
+  /// Frame-clock hooks, called only on a process that joined the clock
+  /// (join_frame_clock): on_frame_start(k) at T_k = k * period and
+  /// on_window_end() at T_k + window, each tick calling every joined
+  /// process in node-id order before any queued event of that instant.
+  /// Contract: a hook may arm and cancel timers and change its own node's
+  /// state, but never broadcast (Process::broadcast throws std::logic_error
+  /// inside a tick) — so no observer, and no attacker stop(), runs
+  /// mid-tick, and the tick's place before same-instant events cannot
+  /// reorder anything a node can see.
+  virtual void on_frame_start(std::int64_t frame) { (void)frame; }
+  virtual void on_window_end() {}
+
   /// Called by Simulator::reset_run (the batched phase-prefix fork path):
   /// the process must rewind every per-run mutable member to its
   /// just-constructed value — state captured from (config, topology)
@@ -89,6 +111,14 @@ class Process {
   /// Disarms the named timer. A no-op if not pending — in particular,
   /// cancelling a timer this process never armed allocates nothing.
   void cancel_timer(int timer_id);
+
+  /// Joins the simulator's frame clock (see the file comment): frames of
+  /// `period`, the window-end tick `window` after each frame start
+  /// (0 < period, 0 <= window < period; window 0 means no window-end
+  /// tick). Call from on_start only — std::logic_error otherwise. Every
+  /// joiner shares one clock: a join with the clock's geometry is a no-op
+  /// for it, a join with another geometry throws std::invalid_argument.
+  void join_frame_clock(SimTime period, SimTime window);
 
   [[nodiscard]] SimTime now() const;
   [[nodiscard]] Rng& rng();
@@ -139,7 +169,9 @@ class Simulator {
   /// Returns the number of events executed.
   std::uint64_t run_until(SimTime end);
 
-  /// Executes exactly one event if any is pending and before `end`.
+  /// Executes exactly one event — the earlier of the next frame-clock tick
+  /// and the queue head, the tick first at a shared instant — if one is
+  /// due at or before `end`.
   bool step(SimTime end);
 
   /// Stops the run loop after the current event completes.
@@ -183,8 +215,9 @@ class Simulator {
   /// alternative to materialising sends_by_type() per run.
   [[nodiscard]] std::uint64_t sent_of(const char* name) const noexcept;
   [[nodiscard]] std::uint64_t total_sent() const noexcept { return total_sent_; }
-  /// Every popped event, including stale (re-armed or cancelled) timer
-  /// expiries that were skipped at pop time.
+  /// Every executed event: each popped queue entry, including stale
+  /// (re-armed or cancelled) timer expiries skipped at pop time, plus each
+  /// frame-clock tick (one event per tick, whatever it calls).
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_executed_;
   }
@@ -192,7 +225,8 @@ class Simulator {
   [[nodiscard]] std::uint64_t deliveries_executed() const noexcept {
     return deliveries_executed_;
   }
-  /// Timer expiries whose generation was still current (on_timer calls).
+  /// Timer expiries whose generation was still current (on_timer calls);
+  /// frame-clock ticks are not timer fires.
   [[nodiscard]] std::uint64_t timers_fired() const noexcept {
     return timers_fired_;
   }
@@ -208,6 +242,9 @@ class Simulator {
   friend class Process;
 
   void do_broadcast(wsn::NodeId from, MessagePtr message);
+  void join_frame_clock(Process& process, SimTime period, SimTime window);
+  /// Runs the frame-clock tick due at next_tick_ and schedules the next.
+  void run_frame_tick();
   /// Arms (or re-arms) timer `timer_id` of `node`: bumps the generation in
   /// the dense per-node table and pushes one POD timer event. Throws
   /// std::invalid_argument on a negative timer id or delay, and
@@ -236,6 +273,7 @@ class Simulator {
   SimTime now_ = 0;
   SimTime propagation_delay_ = kMillisecond;
   bool started_ = false;
+  bool starting_ = false;  ///< inside the on_start loop (frame-clock joins)
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;
   std::uint64_t deliveries_executed_ = 0;
@@ -252,6 +290,17 @@ class Simulator {
   std::vector<std::uint64_t> timer_generations_;
   std::size_t timer_stride_ = 8;
   std::vector<TransmissionObserver*> observers_;
+  /// Frame clock. frame_period_ == 0 means no process joined: no ticks.
+  /// frame_members_ holds the joined processes in node-id order (joins
+  /// come from the node-ordered on_start loop); reset_run clears it, and
+  /// the next start re-joins without allocating.
+  SimTime frame_period_ = 0;
+  SimTime frame_window_ = 0;
+  std::vector<Process*> frame_members_;
+  std::int64_t frame_index_ = 0;  ///< frame of the next tick
+  SimTime next_tick_ = 0;
+  bool window_end_next_ = false;  ///< the next tick is T_k + window
+  bool in_tick_ = false;
   /// Hot-path send accounting: one entry per message class, keyed by the
   /// class's static name() pointer. Folded into sends_by_type_ lazily.
   struct SendCounter {
@@ -269,9 +318,9 @@ class Simulator {
 
 // ---- inline hot paths ------------------------------------------------------
 // The timer chain (Process::set_timer -> Simulator::arm_timer ->
-// EventQueue::push_timer) runs tens of millions of times per sweep cell —
-// every HELLO jitter, dissemination window, slot fire and period boundary
-// arms a timer — so the whole chain is defined here, after both classes
+// EventQueue::push_timer) runs millions of times per sweep cell — every
+// HELLO jitter, dissemination send and data-slot fire arms a timer — so
+// the whole chain is defined here, after both classes
 // are complete, and collapses to a generation bump plus a queue push.
 
 inline void Simulator::arm_timer(wsn::NodeId node, int timer_id,

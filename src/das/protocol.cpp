@@ -44,6 +44,11 @@ ProtectionlessDas::ProtectionlessDas(const DasConfig& config, wsn::NodeId sink,
     throw std::invalid_argument(
         "DasConfig: setup must extend beyond neighbour discovery");
   }
+  if (config.frame.dissem_period <= 0) {
+    // process:: runs at the window's end; a zero window has no end tick.
+    throw std::invalid_argument(
+        "DasConfig: the dissemination window must be positive");
+  }
 }
 
 void ProtectionlessDas::on_start() {
@@ -51,7 +56,7 @@ void ProtectionlessDas::on_start() {
   ninfo_ = simulator().arena().allocate<NodeInfo>(nodes);
   neighbor_known_ = simulator().arena().allocate<std::uint8_t>(nodes);
   others_.resize(nodes);
-  set_timer(kPeriodTimer, 0);
+  join_frame_clock(config_.period(), config_.frame.dissem_period);
 }
 
 void ProtectionlessDas::reset_run() {
@@ -85,58 +90,53 @@ void ProtectionlessDas::reset_run() {
   latency_count_ = 0;
 }
 
+void ProtectionlessDas::on_frame_start(std::int64_t frame) {
+  period_index_ = static_cast<int>(frame);
+
+  if (period_index_ < config_.neighbor_discovery_periods) {
+    // Neighbour discovery: one HELLO per period at a random offset, so
+    // beacons from different nodes interleave like CSMA traffic would.
+    set_timer(kHelloTimer,
+              static_cast<sim::SimTime>(rng().uniform(
+                  static_cast<std::uint64_t>(config_.period() * 3 / 4))));
+    return;
+  }
+
+  if (period_index_ == config_.neighbor_discovery_periods && is_sink()) {
+    // Figure 2 init:: — the sink triggers the protocol.
+    hop_ = 0;
+    parent_ = wsn::kNoNode;
+    slot_ = config_.sink_slot;
+    ninfo_[id()] = NodeInfo{hop_, slot_};
+    repair_check_pending_ = true;
+    request_dissemination();
+  }
+
+  if (dissem_budget_ > 0) {
+    // Jittered inside the dissemination window (leaving headroom so the
+    // message still arrives within the window).
+    const auto window = static_cast<std::uint64_t>(
+        std::max<sim::SimTime>(config_.frame.dissem_period -
+                                   2 * simulator().propagation_delay(),
+                               1));
+    set_timer(kDissemSendTimer,
+              static_cast<sim::SimTime>(rng().uniform(window)));
+  }
+
+  if (data_phase() && slot_assigned() && !is_sink()) {
+    set_timer(kDataTimer,
+              config_.frame.slot_offset(config_.frame.clamp_slot(slot_)));
+  }
+  if (data_phase() && is_source()) {
+    // One fresh datum per source period (Psrc == one TDMA period).
+    ++generated_seq_;
+    aggregated_seq_ = std::max(aggregated_seq_, generated_seq_);
+  }
+  on_period_start(period_index_);
+}
+
 void ProtectionlessDas::on_timer(int timer_id) {
   switch (timer_id) {
-    case kPeriodTimer: {
-      ++period_index_;
-      set_timer(kPeriodTimer, config_.period());
-
-      if (period_index_ < config_.neighbor_discovery_periods) {
-        // Neighbour discovery: one HELLO per period at a random offset, so
-        // beacons from different nodes interleave like CSMA traffic would.
-        set_timer(kHelloTimer,
-                  static_cast<sim::SimTime>(
-                      rng().uniform(static_cast<std::uint64_t>(
-                          config_.period() * 3 / 4))));
-        break;
-      }
-
-      if (period_index_ == config_.neighbor_discovery_periods && is_sink()) {
-        // Figure 2 init:: — the sink triggers the protocol.
-        hop_ = 0;
-        parent_ = wsn::kNoNode;
-        slot_ = config_.sink_slot;
-        ninfo_[id()] = NodeInfo{hop_, slot_};
-        repair_check_pending_ = true;
-        request_dissemination();
-      }
-
-      if (dissem_budget_ > 0) {
-        // Jittered inside the dissemination window (leaving headroom so the
-        // message still arrives within the window).
-        const auto window = static_cast<std::uint64_t>(
-            std::max<sim::SimTime>(config_.frame.dissem_period -
-                                       2 * simulator().propagation_delay(),
-                                   1));
-        set_timer(kDissemSendTimer,
-                  static_cast<sim::SimTime>(rng().uniform(window)));
-      }
-      // The paper's process:: action runs once "all messages" of the
-      // dissemination window have been received, i.e. at the window's end.
-      set_timer(kProcessTimer, config_.frame.dissem_period);
-
-      if (data_phase() && slot_assigned() && !is_sink()) {
-        set_timer(kDataTimer,
-                  config_.frame.slot_offset(config_.frame.clamp_slot(slot_)));
-      }
-      if (data_phase() && is_source()) {
-        // One fresh datum per source period (Psrc == one TDMA period).
-        ++generated_seq_;
-        aggregated_seq_ = std::max(aggregated_seq_, generated_seq_);
-      }
-      on_period_start(period_index_);
-      break;
-    }
     case kHelloTimer:
       if (!hello_message_) {
         hello_message_ = std::make_shared<HelloMessage>();
@@ -145,9 +145,6 @@ void ProtectionlessDas::on_timer(int timer_id) {
       break;
     case kDissemSendTimer:
       send_dissem();
-      break;
-    case kProcessTimer:
-      run_process_action();
       break;
     case kDataTimer:
       send_data();
@@ -288,7 +285,11 @@ void ProtectionlessDas::handle_normal(wsn::NodeId from,
   }
 }
 
-void ProtectionlessDas::run_process_action() {
+void ProtectionlessDas::on_window_end() {
+  // The paper's process:: action runs once "all messages" of the
+  // dissemination window have been received, i.e. at the window's end.
+  // It reads and writes this node's state only, draws no randomness and
+  // arms nothing, so its place among same-instant events is invisible.
   if (period_index_ < config_.neighbor_discovery_periods) {
     return;
   }

@@ -23,7 +23,10 @@ PhantomRouting::PhantomRouting(const PhantomConfig& config, wsn::NodeId sink,
   }
 }
 
-void PhantomRouting::on_start() { set_timer(kPeriodTimer, 0); }
+void PhantomRouting::on_start() {
+  // Frame starts only: the protocol has no dissemination window.
+  join_frame_clock(config_.period, 0);
+}
 
 void PhantomRouting::reset_run() {
   period_index_ = -1;
@@ -40,35 +43,33 @@ void PhantomRouting::reset_run() {
   outbox_.clear();
 }
 
+void PhantomRouting::on_frame_start(std::int64_t frame) {
+  period_index_ = static_cast<int>(frame);
+  if (period_index_ < config_.hello_periods) {
+    set_timer(kHelloTimer,
+              static_cast<sim::SimTime>(rng().uniform(
+                  static_cast<std::uint64_t>(config_.period * 3 / 4))));
+    return;
+  }
+  if (period_index_ == config_.hello_periods && is_sink()) {
+    // Gradient setup: the sink starts the hop-count beacon flood.
+    hops_from_sink_ = 0;
+    beacon_pending_ = true;
+    set_timer(kBeaconTimer,
+              static_cast<sim::SimTime>(rng().uniform(
+                  static_cast<std::uint64_t>(config_.forward_delay_max))));
+  }
+  if (period_index_ >= config_.setup_periods && is_source()) {
+    // One datum per period, released at the period boundary (plus a hair
+    // of jitter so replicated runs do not alias).
+    set_timer(kGenerateTimer,
+              static_cast<sim::SimTime>(rng().uniform(
+                  static_cast<std::uint64_t>(config_.forward_delay_max))));
+  }
+}
+
 void PhantomRouting::on_timer(int timer_id) {
   switch (timer_id) {
-    case kPeriodTimer: {
-      ++period_index_;
-      set_timer(kPeriodTimer, config_.period);
-      if (period_index_ < config_.hello_periods) {
-        set_timer(kHelloTimer,
-                  static_cast<sim::SimTime>(rng().uniform(
-                      static_cast<std::uint64_t>(config_.period * 3 / 4))));
-        break;
-      }
-      if (period_index_ == config_.hello_periods && is_sink()) {
-        // Gradient setup: the sink starts the hop-count beacon flood.
-        hops_from_sink_ = 0;
-        beacon_pending_ = true;
-        set_timer(kBeaconTimer,
-                  static_cast<sim::SimTime>(
-                      rng().uniform(static_cast<std::uint64_t>(
-                          config_.forward_delay_max))));
-      }
-      if (period_index_ >= config_.setup_periods && is_source()) {
-        // One datum per period, released at the period boundary (plus a
-        // hair of jitter so replicated runs do not alias).
-        set_timer(kGenerateTimer,
-                  static_cast<sim::SimTime>(rng().uniform(
-                      static_cast<std::uint64_t>(config_.forward_delay_max))));
-      }
-      break;
-    }
     case kHelloTimer:
       if (!hello_message_) {
         hello_message_ = std::make_shared<PhantomHello>();

@@ -18,7 +18,18 @@ void Process::broadcast(MessagePtr message) {
   if (!message) {
     throw std::invalid_argument("Process::broadcast: null message");
   }
+  if (simulator_->in_tick_) {
+    throw std::logic_error(
+        "Process::broadcast: frame-clock hooks must not broadcast");
+  }
   simulator_->do_broadcast(id_, std::move(message));
+}
+
+void Process::join_frame_clock(SimTime period, SimTime window) {
+  if (simulator_ == nullptr) {
+    throw std::logic_error("Process::join_frame_clock before registration");
+  }
+  simulator_->join_frame_clock(*this, period, window);
 }
 
 SimTime Process::now() const { return simulator_->now(); }
@@ -52,9 +63,13 @@ Simulator::Simulator(const wsn::Graph& graph, std::unique_ptr<RadioModel> radio,
   casino_ = dynamic_cast<CasinoLabNoise*>(radio_.get());
   // Pre-size the event queue for this topology's steady state: pending
   // events scale with in-flight broadcasts (≈ degree per sender, the
-  // whole network in one dissemination slot) plus one armed timer set
-  // per node; staged payloads with concurrent senders.
+  // whole network in one dissemination slot) plus the one or two timers a
+  // node keeps armed within a frame (frame boundaries are clock ticks, not
+  // queued); staged payloads with concurrent senders. The budget has
+  // headroom over that occupancy and is kept as is: it sets the queue's
+  // memory footprint, which the peak-RSS measurements track.
   queue_.reserve(64 + 8 * nodes, 16 + nodes);
+  frame_members_.reserve(nodes);
   send_counters_.reserve(8);
 }
 
@@ -94,6 +109,62 @@ void Simulator::grow_timer_table(int timer_id) {
   }
   timer_generations_ = std::move(wider);
   timer_stride_ = new_stride;
+}
+
+void Simulator::join_frame_clock(Process& process, SimTime period,
+                                 SimTime window) {
+  if (!starting_) {
+    throw std::logic_error(
+        "Process::join_frame_clock: join from on_start only");
+  }
+  if (period <= 0 || window < 0 || window >= period) {
+    throw std::invalid_argument(
+        "Process::join_frame_clock: need 0 < period and 0 <= window < "
+        "period");
+  }
+  if (frame_period_ == 0) {
+    frame_period_ = period;
+    frame_window_ = window;
+  } else if (period != frame_period_ || window != frame_window_) {
+    throw std::invalid_argument(
+        "Process::join_frame_clock: geometry conflicts with the frame clock "
+        "other processes joined");
+  }
+  // on_start runs in node order, so appending keeps node-id order; a
+  // process joining twice is already the last member.
+  if (frame_members_.empty() || frame_members_.back() != &process) {
+    frame_members_.push_back(&process);
+  }
+}
+
+void Simulator::run_frame_tick() {
+  now_ = next_tick_;
+  in_tick_ = true;
+  if (window_end_next_) {
+    for (Process* process : frame_members_) {
+      process->on_window_end();
+    }
+    window_end_next_ = false;
+  } else {
+    for (Process* process : frame_members_) {
+      process->on_frame_start(frame_index_);
+    }
+    window_end_next_ = frame_window_ > 0;
+  }
+  in_tick_ = false;
+  constexpr SimTime kMax = std::numeric_limits<SimTime>::max();
+  if (window_end_next_) {
+    if (now_ > kMax - frame_window_) {
+      throw std::overflow_error("Simulator: frame clock overflows SimTime");
+    }
+    next_tick_ = now_ + frame_window_;
+    return;
+  }
+  if (frame_index_ + 1 > kMax / frame_period_) {
+    throw std::overflow_error("Simulator: frame clock overflows SimTime");
+  }
+  ++frame_index_;
+  next_tick_ = frame_index_ * frame_period_;
 }
 
 void Simulator::set_propagation_delay(SimTime delay) {
@@ -163,7 +234,15 @@ void Simulator::reset_run(std::uint64_t seed) {
   rng_.reseed(seed);
   now_ = 0;
   started_ = false;
+  starting_ = false;
   stopped_ = false;
+  frame_period_ = 0;
+  frame_window_ = 0;
+  frame_members_.clear();
+  frame_index_ = 0;
+  next_tick_ = 0;
+  window_end_next_ = false;
+  in_tick_ = false;
   events_executed_ = 0;
   deliveries_executed_ = 0;
   timers_fired_ = 0;
@@ -217,13 +296,31 @@ void Simulator::do_broadcast(wsn::NodeId from, MessagePtr message) {
 bool Simulator::step(SimTime end) {
   if (!started_) {
     started_ = true;
+    starting_ = true;
     for (auto& process : processes_) {
       if (process) {
         process->on_start();
       }
     }
+    starting_ = false;
   }
-  if (stopped_ || queue_.empty() || queue_.next_time() > end) {
+  if (stopped_) {
+    return false;
+  }
+  if (frame_period_ > 0 &&
+      (queue_.empty() || next_tick_ <= queue_.next_time())) {
+    // The tick is first at its instant. Protocols arm timers less than
+    // one frame ahead, so everything queued for T_k was armed after the
+    // T_{k-1} tick, and tick-first is the order a per-node boundary timer
+    // armed at T_{k-1} would have had.
+    if (next_tick_ > end) {
+      return false;
+    }
+    run_frame_tick();
+    ++events_executed_;
+    return true;
+  }
+  if (queue_.empty() || queue_.next_time() > end) {
     return false;
   }
   const Event event = queue_.pop(now_);
@@ -265,7 +362,8 @@ std::uint64_t Simulator::run_until(SimTime end) {
   while (step(end)) {
     ++executed;
   }
-  if (!stopped_ && (queue_.empty() || queue_.next_time() > end)) {
+  // Unless stopped, step() returned false because nothing is due by `end`.
+  if (!stopped_) {
     now_ = end;
   }
   return executed;

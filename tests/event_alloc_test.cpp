@@ -231,13 +231,14 @@ void run_second_seed_window(ProcessFactory make_process) {
   const std::uint64_t events_before = simulator.events_executed();
   const std::uint64_t allocations_before =
       g_allocations.load(std::memory_order_relaxed);
-  simulator.run_until(data_start + 8 * period);
+  simulator.run_until(data_start + 12 * period);
   const std::uint64_t events_executed =
       simulator.events_executed() - events_before;
   const std::uint64_t allocations =
       g_allocations.load(std::memory_order_relaxed) - allocations_before;
-  // ~145 events per data-phase period on the side-5 grid (one NORMAL per
-  // node plus deliveries and slot timers); six periods measured.
+  // ~90 events per data-phase period on the side-5 grid (one NORMAL per
+  // node plus deliveries, slot timers and two frame-clock ticks); ten
+  // periods measured.
   EXPECT_GT(events_executed, 600u);
   EXPECT_EQ(allocations, 0u)
       << "the second seed of a forked batch allocated " << allocations

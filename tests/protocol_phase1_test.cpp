@@ -190,6 +190,10 @@ TEST(Phase1Test, ConfigValidation) {
   config = {};
   config.minimum_setup_periods = config.neighbor_discovery_periods;
   EXPECT_THROW(ProtectionlessDas(config, 0, 1), std::invalid_argument);
+  // process:: runs at the window-end tick, which a zero window never has.
+  config = {};
+  config.frame.dissem_period = 0;
+  EXPECT_THROW(ProtectionlessDas(config, 0, 1), std::invalid_argument);
 }
 
 class Phase1TopologySweep : public ::testing::TestWithParam<int> {};
