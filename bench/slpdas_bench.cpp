@@ -28,6 +28,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "slpdas/core/cell_cache.hpp"
@@ -90,7 +91,8 @@ int usage(std::ostream& out, int code) {
          "  --progress       per-cell progress lines on stderr\n"
          "  --smoke          smallest grid, one run per cell\n"
          "  --json           write BENCH_<name>.json (per scenario)\n"
-         "  --out-dir DIR    directory for --json files (default .)\n"
+         "  --out-dir DIR    directory for --json files (default .;\n"
+         "                   created if missing)\n"
          "  --shard I/N      run only this process's share of each grid\n"
          "  --stream FILE    append one JSONL record per completed cell to\n"
          "                   FILE (slpdas.cell.v1) and resume from it if it\n"
@@ -158,6 +160,22 @@ core::SweepJson load_document(const std::string& path) {
   return core::read_sweep_json(in);
 }
 
+/// With --json, creates --out-dir up front: a missing directory is made,
+/// and one that cannot be fails the command before any cell is simulated
+/// instead of after the sweep.
+bool prepare_out_dir(const CliOptions& options) {
+  if (!options.json) {
+    return true;
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(options.out_dir, ec);
+  if (!std::filesystem::is_directory(options.out_dir, ec)) {
+    std::cerr << "cannot create --out-dir " << options.out_dir << '\n';
+    return false;
+  }
+  return true;
+}
+
 int run_scenarios(const CliOptions& options) {
   const core::ScenarioRegistry& registry = core::ScenarioRegistry::global();
   std::vector<const core::Scenario*> selected;
@@ -207,6 +225,9 @@ int run_scenarios(const CliOptions& options) {
     std::cerr << "--stream takes exactly one scenario (the stream file "
                  "identifies a single sweep)\n";
     return 2;
+  }
+  if (!prepare_out_dir(options)) {
+    return 1;
   }
 
   // One pool for everything: scenarios run back to back, their (cell,
@@ -264,12 +285,10 @@ int run_scenarios(const CliOptions& options) {
                 std::to_string(options.shard_count);
       }
       path += ".json";
-      std::ofstream json(path);
-      if (!json) {
-        std::cerr << "cannot open " << path << " for writing\n";
+      if (!core::write_sweep_json_file(path, document)) {
+        std::cerr << "cannot write " << path << '\n';
         return 1;
       }
-      core::write_sweep_json(json, document);
       std::cout << "(wrote " << path << ")\n";
     }
 
@@ -371,12 +390,10 @@ int merge_files(const std::vector<std::string>& paths,
   if (out_path.empty()) {
     core::write_sweep_json(std::cout, merged);
   } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << " for writing\n";
+    if (!core::write_sweep_json_file(out_path, merged)) {
+      std::cerr << "cannot write " << out_path << '\n';
       return 1;
     }
-    core::write_sweep_json(out, merged);
     std::cerr << "(wrote " << out_path << ")\n";
   }
   return 0;
@@ -422,6 +439,9 @@ int fleet_command(const CliOptions& options) {
                  "worker streams)\n";
     return 2;
   }
+  if (!prepare_out_dir(options)) {
+    return 1;
+  }
   core::FleetOptions fleet;
   fleet.directory = options.fleet_dir.empty()
                         ? options.out_dir + "/fleet-" + scenario->name
@@ -444,12 +464,10 @@ int fleet_command(const CliOptions& options) {
   if (options.json) {
     const std::string path =
         options.out_dir + "/BENCH_" + scenario->name + ".json";
-    std::ofstream json(path);
-    if (!json) {
-      std::cerr << "cannot open " << path << " for writing\n";
+    if (!core::write_sweep_json_file(path, document)) {
+      std::cerr << "cannot write " << path << '\n';
       return 1;
     }
-    core::write_sweep_json(json, document);
     std::cout << "(wrote " << path << ")\n";
   }
   return scenario->report(std::cout, document, options.scenario);

@@ -328,6 +328,12 @@ struct SweepJson {
 /// values always produce equal bytes.
 void write_sweep_json(std::ostream& out, const SweepJson& document);
 
+/// Replaces the file at `path` with the serialised document through the
+/// atomic writer: a reader sees the old file or the whole new one. Returns
+/// false, with `path` untouched, when the write or the rename fails.
+[[nodiscard]] bool write_sweep_json_file(const std::string& path,
+                                         const SweepJson& document);
+
 /// Convenience: to_sweep_json + write_sweep_json.
 void write_sweep_json(std::ostream& out, const SweepResult& result,
                       std::string_view name);

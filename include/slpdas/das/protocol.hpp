@@ -22,6 +22,7 @@
 //                 after "receiving all messages")
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -187,22 +188,37 @@ class ProtectionlessDas : public sim::Process {
 
   void add_neighbor(wsn::NodeId node);
 
-  // Figure 2 variables.
+  /// Table index of `node` in this node's id window. Every node this
+  /// process ever learns about lies in CG(n) (Definition 1: a DISSEM
+  /// carries only its sender and the sender's 1-hop neighbours), so the
+  /// window bounds every ninfo_ / others_ / neighbor_known_ access.
+  [[nodiscard]] std::size_t local(wsn::NodeId node) const noexcept {
+    const auto index = static_cast<std::size_t>(node - window_lo_);
+    assert(index < others_.size() && "DAS table access outside CG(n)");
+    return index;
+  }
+
+  // Figure 2 variables. The three per-node tables are indexed by local():
+  // they span the id window [lo, hi] of CG(n) + {n}, which on_start
+  // computes once from the fixed graph and keeps across reset_run. Grid
+  // ids run row by row, so a grid window is about four rows, not N; ids
+  // that are not spatially ordered (ring, udisk) still give about N.
   std::vector<wsn::NodeId> my_neighbors_;              // myN (discovery order)
-  /// Dense membership mirror of my_neighbors_ (arena-carved, one byte per
-  /// node): add_neighbor runs on every HELLO and DISSEM reception, and an
+  /// Membership mirror of my_neighbors_ (arena-carved, one byte per window
+  /// id): add_neighbor runs on every HELLO and DISSEM reception, and an
   /// indexed load replaces a linear scan of the discovery-order list.
   std::span<std::uint8_t> neighbor_known_;
   util::FlatSet<wsn::NodeId> potential_parents_;            // Npar
   util::FlatSet<wsn::NodeId> children_;                     // children
-  std::vector<std::vector<wsn::NodeId>> others_;  // Others[j], dense by node
-  /// Ninfo[] as a dense per-node table — the merge in handle_dissem runs
-  /// millions of times per experiment, and an indexed load beats a tree
-  /// walk plus node allocation. Unwritten entries read as NodeInfo{}
+  /// Others[j] per window id; its size is the window's, set once.
+  std::vector<std::vector<wsn::NodeId>> others_;
+  wsn::NodeId window_lo_ = 0;  ///< lo of the id window
+  /// Ninfo[] as a dense per-window-id table — the merge in handle_dissem
+  /// runs millions of times per experiment, and an indexed load beats a
+  /// tree walk plus node allocation. Unwritten entries read as NodeInfo{}
   /// (unassigned), exactly like an absent map key did. Carved out of the
-  /// simulator's node-state arena in on_start (N entries per node makes
-  /// this the N^2 table of the protocol); reset_run drops the span and the
-  /// next on_start re-carves it from the rewound arena.
+  /// simulator's node-state arena in on_start; reset_run drops the span and
+  /// the next on_start re-carves it from the rewound arena.
   std::span<NodeInfo> ninfo_;
   /// Node ids (never our own) whose ninfo_ entry is assigned, in first-
   /// learned order. Assignment is monotone (slots never unassign), so each

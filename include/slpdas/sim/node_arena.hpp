@@ -1,10 +1,10 @@
 // Dense structure-of-arrays pools for per-run protocol node state.
 //
-// Every protocol process keeps tables sized by the network (the DAS
-// Ninfo[] view is the big one: N entries per node, N^2 per simulation).
-// Owning them as per-process std::vectors means N allocations per run and
-// N scattered heap blocks; batched cell execution re-pays that for every
-// seed. The arena replaces that with one bump allocator owned by the
+// Every protocol process keeps per-run tables (the DAS Ninfo[] view is
+// the big one: one entry per id in the node's two-hop id window, see
+// das/protocol.hpp). Owning them as per-process std::vectors means N
+// allocations per run and N scattered heap blocks; batched cell execution
+// re-pays that for every seed. The arena replaces that with one bump allocator owned by the
 // Simulator: processes carve dense spans out of shared chunks during
 // on_start (which runs in node order, so the layout is deterministic),
 // and Simulator::reset_run rewinds the cursor instead of freeing — seed

@@ -11,8 +11,7 @@
 //  * LossyRadio      — i.i.d. Bernoulli loss per reception.
 //  * CasinoLabNoise  — a two-state Markov-modulated loss process (quiet
 //    floor with interference bursts), our synthetic stand-in for the
-//    casino-lab RSSI trace; see DESIGN.md section 2 for the substitution
-//    rationale.
+//    casino-lab RSSI trace, for the reasons given above.
 #pragma once
 
 #include <memory>

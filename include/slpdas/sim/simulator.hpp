@@ -35,8 +35,6 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "slpdas/rng.hpp"
@@ -204,15 +202,9 @@ class Simulator {
 
   /// Traffic counters for node `node` (all message types combined).
   [[nodiscard]] const TrafficCounters& traffic(wsn::NodeId node) const;
-  /// Total messages sent, by message-type name. Materialised on demand
-  /// from the pointer-keyed hot-path counters (a handful of message
-  /// classes exist, so the per-broadcast count is a short scan over
-  /// stable name pointers instead of a string hash per send).
-  [[nodiscard]] const std::unordered_map<std::string, std::uint64_t>&
-  sends_by_type() const;
   /// Sent count for one message class by its static kName pointer-or-text
-  /// (strcmp over ≤ a handful of counter entries) — the allocation-free
-  /// alternative to materialising sends_by_type() per run.
+  /// (strcmp over ≤ a handful of counter entries; the hot path counts per
+  /// stable name pointer instead of hashing a string per send).
   [[nodiscard]] std::uint64_t sent_of(const char* name) const noexcept;
   [[nodiscard]] std::uint64_t total_sent() const noexcept { return total_sent_; }
   /// Every executed event: each popped queue entry, including stale
@@ -302,13 +294,12 @@ class Simulator {
   bool window_end_next_ = false;  ///< the next tick is T_k + window
   bool in_tick_ = false;
   /// Hot-path send accounting: one entry per message class, keyed by the
-  /// class's static name() pointer. Folded into sends_by_type_ lazily.
+  /// class's static name() pointer.
   struct SendCounter {
     const char* name;
     std::uint64_t count;
   };
   std::vector<SendCounter> send_counters_;
-  mutable std::unordered_map<std::string, std::uint64_t> sends_by_type_;
   /// Per-run node state pools; rewound (not freed) by reset_run.
   NodeStateArena arena_;
   /// Cached downcast of radio_ when it is the CasinoLabNoise model —

@@ -112,8 +112,6 @@ RunResult RunBatch::Fork::run(std::uint64_t seed) {
   result.attacker_moves = eavesdropper_.moves_made();
 
   // ---- metrics ------------------------------------------------------------
-  // sent_of scans the simulator's flat per-class counters directly; unlike
-  // sends_by_type() it materialises no per-run map.
   const auto node_count = static_cast<double>(graph.node_count());
   result.normal_messages_per_node =
       static_cast<double>(simulator_.sent_of("NORMAL")) / node_count;

@@ -414,7 +414,7 @@ void register_ablations(ScenarioRegistry& registry) {
   {
     Scenario scenario;
     scenario.name = "abl_noise";
-    scenario.reference = "DESIGN.md section 2 (loss-model calibration)";
+    scenario.reference = "src/sim/radio.hpp (loss-model calibration)";
     scenario.summary = "capture ratios vs radio model (ideal/iid/bursty)";
     scenario.default_runs = 150;
     scenario.default_seed = 13;
@@ -447,7 +447,7 @@ void register_ablations(ScenarioRegistry& registry) {
   {
     Scenario scenario;
     scenario.name = "abl_schedulers";
-    scenario.reference = "DESIGN.md section 5 (schedule construction)";
+    scenario.reference = "src/das/centralized.hpp (schedule construction)";
     scenario.summary = "Phase 1 vs centralized vs first-fit schedules";
     scenario.default_runs = 20;
     scenario.default_seed = 1;

@@ -211,7 +211,7 @@ void register_perf(ScenarioRegistry& registry) {
   {
     Scenario scenario;
     scenario.name = "perf_sim";
-    scenario.reference = "DESIGN.md section 2 (simulator substrate)";
+    scenario.reference = "README: Simulator internals";
     scenario.summary = "simulator throughput: runs/sec and events/sec";
     scenario.default_runs = 20;
     scenario.default_seed = 101;

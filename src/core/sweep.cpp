@@ -20,6 +20,7 @@
 #include <thread>
 #include <utility>
 
+#include "atomic_file.hpp"
 #include "cell_record.hpp"
 #include "fnv.hpp"
 #include "json.hpp"
@@ -826,6 +827,13 @@ void write_sweep_json(std::ostream& out, const SweepJson& document) {
   out.flags(saved_flags);
   out.precision(saved_precision);
   out.fill(saved_fill);
+}
+
+bool write_sweep_json_file(const std::string& path,
+                           const SweepJson& document) {
+  std::ostringstream bytes;
+  write_sweep_json(bytes, document);
+  return detail::write_file_atomically(path, bytes.str());
 }
 
 void write_sweep_json(std::ostream& out, const SweepResult& result,

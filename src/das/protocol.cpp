@@ -52,10 +52,24 @@ ProtectionlessDas::ProtectionlessDas(const DasConfig& config, wsn::NodeId sink,
 }
 
 void ProtectionlessDas::on_start() {
-  const auto nodes = static_cast<std::size_t>(graph().node_count());
-  ninfo_ = simulator().arena().allocate<NodeInfo>(nodes);
-  neighbor_known_ = simulator().arena().allocate<std::uint8_t>(nodes);
-  others_.resize(nodes);
+  if (others_.empty()) {
+    // First start: the id window of CG(n) + {n}. The graph is fixed for
+    // the simulator's lifetime, so the window outlives every reset_run.
+    wsn::NodeId lo = id();
+    wsn::NodeId hi = id();
+    for (const wsn::NodeId neighbor : graph().neighbors(id())) {
+      lo = std::min(lo, neighbor);
+      hi = std::max(hi, neighbor);
+      for (const wsn::NodeId two_hop : graph().neighbors(neighbor)) {
+        lo = std::min(lo, two_hop);
+        hi = std::max(hi, two_hop);
+      }
+    }
+    window_lo_ = lo;
+    others_.resize(static_cast<std::size_t>(hi - lo) + 1);
+  }
+  ninfo_ = simulator().arena().allocate<NodeInfo>(others_.size());
+  neighbor_known_ = simulator().arena().allocate<std::uint8_t>(others_.size());
   join_frame_clock(config_.period(), config_.frame.dissem_period);
 }
 
@@ -63,6 +77,7 @@ void ProtectionlessDas::reset_run() {
   my_neighbors_.clear();
   potential_parents_.clear();
   children_.clear();
+  // The window is seed-independent: others_ keeps its hi - lo + 1 lists.
   for (auto& competitors : others_) {
     competitors.clear();
   }
@@ -107,7 +122,7 @@ void ProtectionlessDas::on_frame_start(std::int64_t frame) {
     hop_ = 0;
     parent_ = wsn::kNoNode;
     slot_ = config_.sink_slot;
-    ninfo_[id()] = NodeInfo{hop_, slot_};
+    ninfo_[local(id())] = NodeInfo{hop_, slot_};
     repair_check_pending_ = true;
     request_dissemination();
   }
@@ -173,7 +188,7 @@ void ProtectionlessDas::on_message(wsn::NodeId from,
 }
 
 void ProtectionlessDas::add_neighbor(wsn::NodeId node) {
-  std::uint8_t& known = neighbor_known_[static_cast<std::size_t>(node)];
+  std::uint8_t& known = neighbor_known_[local(node)];
   if (!known) {
     known = 1;
     my_neighbors_.push_back(node);
@@ -205,7 +220,7 @@ void ProtectionlessDas::handle_dissem(wsn::NodeId from,
     if (!info.assigned()) {
       continue;
     }
-    NodeInfo& entry = ninfo_[node];
+    NodeInfo& entry = ninfo_[local(node)];
     if (!entry.assigned()) {
       // First assignment we hear of for `node` — assignment is monotone,
       // so this is also the one moment it joins the compact scan list.
@@ -240,8 +255,8 @@ void ProtectionlessDas::handle_dissem(wsn::NodeId from,
     }
     // assign() keeps the entry's existing capacity, so re-learning a
     // sender's competitor list during setup does not allocate.
-    others_[from].assign(competitors_scratch_.begin(),
-                         competitors_scratch_.end());
+    others_[local(from)].assign(competitors_scratch_.begin(),
+                                competitors_scratch_.end());
   }
 
   // Children discovery: a sender that names us as parent is our child.
@@ -298,19 +313,20 @@ void ProtectionlessDas::on_window_end() {
   if (!slot_assigned() && !is_sink() && !potential_parents_.empty()) {
     int best_hop = std::numeric_limits<int>::max();
     for (wsn::NodeId candidate : potential_parents_) {
-      best_hop = std::min(best_hop, ninfo_[candidate].hop);
+      best_hop = std::min(best_hop, ninfo_[local(candidate)].hop);
     }
     wsn::NodeId chosen = wsn::kNoNode;
     for (wsn::NodeId candidate : potential_parents_) {
-      if (ninfo_[candidate].hop == best_hop) {
+      if (ninfo_[local(candidate)].hop == best_hop) {
         chosen = candidate;  // sets iterate ascending: min id wins
         break;
       }
     }
     hop_ = best_hop + 1;
     parent_ = chosen;
-    slot_ = ninfo_[chosen].slot - rank_in(id(), others_[chosen]) - 1;
-    ninfo_[id()] = NodeInfo{hop_, slot_};
+    slot_ = ninfo_[local(chosen)].slot -
+            rank_in(id(), others_[local(chosen)]) - 1;
+    ninfo_[local(id())] = NodeInfo{hop_, slot_};
     repair_check_pending_ = true;
     request_dissemination();
   }
@@ -327,7 +343,7 @@ void ProtectionlessDas::on_window_end() {
       // parent.
       mac::SlotId upper = std::numeric_limits<mac::SlotId>::max();
       for (wsn::NodeId neighbor : my_neighbors_) {
-        const NodeInfo& info = ninfo_[neighbor];
+        const NodeInfo& info = ninfo_[local(neighbor)];
         if (info.assigned() && info.hop == hop_ - 1) {
           upper = std::min(upper, info.slot);
         }
@@ -338,7 +354,7 @@ void ProtectionlessDas::on_window_end() {
     }
     resolve_collisions();
   }
-  ninfo_[id()] = NodeInfo{hop_, slot_};
+  ninfo_[local(id())] = NodeInfo{hop_, slot_};
 }
 
 void ProtectionlessDas::resolve_collisions() {
@@ -352,7 +368,7 @@ void ProtectionlessDas::resolve_collisions() {
   // densely occupied slot band.
   bool we_lose = false;
   for (const wsn::NodeId node : known_assigned_) {
-    const NodeInfo& info = ninfo_[node];
+    const NodeInfo& info = ninfo_[local(node)];
     if (info.slot == slot_ &&
         (hop_ > info.hop || (hop_ == info.hop && id() > node))) {
       we_lose = true;
@@ -367,7 +383,7 @@ void ProtectionlessDas::resolve_collisions() {
   // per dissemination round, and a tree set would allocate per entry.
   taken_scratch_.clear();
   for (const wsn::NodeId node : known_assigned_) {
-    taken_scratch_.push_back(ninfo_[node].slot);
+    taken_scratch_.push_back(ninfo_[local(node)].slot);
   }
   std::sort(taken_scratch_.begin(), taken_scratch_.end());
   mac::SlotId candidate = slot_ - 1;
@@ -381,19 +397,19 @@ void ProtectionlessDas::resolve_collisions() {
 
 void ProtectionlessDas::adopt_slot(mac::SlotId new_slot, bool update_children) {
   slot_ = new_slot;
-  ninfo_[id()] = NodeInfo{hop_, slot_};
+  ninfo_[local(id())] = NodeInfo{hop_, slot_};
   update_pending_ = update_pending_ || update_children;
   repair_check_pending_ = true;
   request_dissemination();
 }
 
 NodeInfo ProtectionlessDas::info_of(wsn::NodeId n) const {
-  // Total over ALL ids, like the map lookup it replaced: out-of-range ids
-  // (kNoNode from an unset parent, say) read as "unknown", not as UB.
-  if (n < 0 || static_cast<std::size_t>(n) >= ninfo_.size()) {
-    return NodeInfo{};
-  }
-  return ninfo_[n];
+  // Total over ALL ids, like the map lookup it replaced: ids outside the
+  // window (kNoNode from an unset parent, say) read as "unknown", exactly
+  // as never-written entries inside it do, not as UB.
+  const auto index = static_cast<std::size_t>(static_cast<std::int64_t>(n) -
+                                              window_lo_);
+  return index < ninfo_.size() ? ninfo_[index] : NodeInfo{};
 }
 
 mac::SlotId ProtectionlessDas::min_neighborhood_slot() const {

@@ -205,18 +205,6 @@ void Simulator::count_send(const char* name) {
   send_counters_.push_back(SendCounter{name, 1});
 }
 
-const std::unordered_map<std::string, std::uint64_t>&
-Simulator::sends_by_type() const {
-  sends_by_type_.clear();
-  for (const SendCounter& entry : send_counters_) {
-    // += rather than =: two message classes are allowed to share a name
-    // string with distinct pointers (e.g. the same kName text defined in
-    // two translation units).
-    sends_by_type_[entry.name] += entry.count;
-  }
-  return sends_by_type_;
-}
-
 std::uint64_t Simulator::sent_of(const char* name) const noexcept {
   std::uint64_t total = 0;
   for (const SendCounter& entry : send_counters_) {
@@ -250,7 +238,6 @@ void Simulator::reset_run(std::uint64_t seed) {
   std::fill(traffic_.begin(), traffic_.end(), TrafficCounters{});
   std::fill(timer_generations_.begin(), timer_generations_.end(), 0);
   send_counters_.clear();
-  sends_by_type_.clear();
   arena_.begin_run();
   radio_->reset_run();
   for (auto& process : processes_) {

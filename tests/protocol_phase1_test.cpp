@@ -129,12 +129,9 @@ TEST(Phase1Test, DataPhaseDeliversSourceDataEveryPeriod) {
 TEST(Phase1Test, EveryNodeTransmitsOncePerDataPeriod) {
   auto net = make_protectionless_net(wsn::make_grid(3), fast_parameters(), 11);
   run_setup(net);
-  const auto sent_before = net.simulator->sends_by_type();
-  const auto normal_before = sent_before.contains("NORMAL")
-                                 ? sent_before.at("NORMAL")
-                                 : std::uint64_t{0};
+  const auto normal_before = net.simulator->sent_of(NormalMessage::kName);
   net.simulator->run_until(net.setup_end() + 4 * net.period());
-  const auto normal_after = net.simulator->sends_by_type().at("NORMAL");
+  const auto normal_after = net.simulator->sent_of(NormalMessage::kName);
   // 8 non-sink nodes x 4 periods.
   EXPECT_EQ(normal_after - normal_before, 32u);
 }
@@ -142,12 +139,12 @@ TEST(Phase1Test, EveryNodeTransmitsOncePerDataPeriod) {
 TEST(Phase1Test, DisseminationTrafficIsBounded) {
   auto net = make_protectionless_net(wsn::make_grid(5), fast_parameters(40), 12);
   run_setup(net);
-  const auto dissem = net.simulator->sends_by_type().at("DISSEM");
+  const auto dissem = net.simulator->sent_of(DissemMessage::kName);
   // Each state change re-arms at most DT dissem sends; with a stable setup
   // the total is far below nodes x periods (here 25 x 40 = 1000).
   EXPECT_LT(dissem, 500u);
   // And HELLO traffic is exactly nodes x NDP.
-  EXPECT_EQ(net.simulator->sends_by_type().at("HELLO"),
+  EXPECT_EQ(net.simulator->sent_of(HelloMessage::kName),
             static_cast<std::uint64_t>(25 * 3));
 }
 

@@ -97,7 +97,7 @@ TEST_F(SimulatorTest, TrafficCountersTrackSendsAndReceives) {
   EXPECT_EQ(simulator.total_sent(),
             simulator.traffic(0).sent + simulator.traffic(1).sent +
                 simulator.traffic(2).sent);
-  EXPECT_EQ(simulator.sends_by_type().at("PING"), simulator.total_sent());
+  EXPECT_EQ(simulator.sent_of("PING"), simulator.total_sent());
 }
 
 TEST_F(SimulatorTest, DeterministicAcrossIdenticalRuns) {

@@ -95,17 +95,14 @@ TEST(SlpPhasesTest, RefinementPreservesCollisionFreedom) {
 TEST(SlpPhasesTest, SearchAndChangeMessagesAreFew) {
   auto net = make_slp_net(wsn::make_grid(11), fast_parameters(34), 5);
   run_setup(net);
-  const auto& by_type = net.simulator->sends_by_type();
-  const auto count = [&by_type](const char* name) {
-    const auto it = by_type.find(name);
-    return it == by_type.end() ? std::uint64_t{0} : it->second;
-  };
+  const auto search = net.simulator->sent_of(das::SearchMessage::kName);
+  const auto change = net.simulator->sent_of(das::ChangeMessage::kName);
   // "negligible message overhead": the whole Phase 2+3 machinery costs a
   // handful of messages in a 121-node network.
-  EXPECT_GE(count("SEARCH"), 1u);
-  EXPECT_LE(count("SEARCH"), 40u);
-  EXPECT_GE(count("CHANGE"), 1u);
-  EXPECT_LE(count("CHANGE"), 40u);
+  EXPECT_GE(search, 1u);
+  EXPECT_LE(search, 40u);
+  EXPECT_GE(change, 1u);
+  EXPECT_LE(change, 40u);
 }
 
 TEST(SlpPhasesTest, VerifiedCaptureNeverMoreFrequentThanProtectionless) {

@@ -30,7 +30,7 @@ TEST(TraceRecorderTest, TypeFilterSelects) {
   recorder.set_type_filter("HELLO");
   net.simulator->add_observer(&recorder);
   net.simulator->run_until(net.setup_end());
-  EXPECT_EQ(recorder.size(), net.simulator->sends_by_type().at("HELLO"));
+  EXPECT_EQ(recorder.size(), net.simulator->sent_of(das::HelloMessage::kName));
   for (const TraceEntry& entry : recorder.entries()) {
     EXPECT_EQ(entry.type, "HELLO");
   }
